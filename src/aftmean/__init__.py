@@ -11,12 +11,8 @@ from .distributions import (
     CensoringLaw,
     CovariateLaw,
     ErrorLaw,
-    ObservedRecord,
     SeedSpec,
     SubjectModel,
-    law_mean,
-    sample_error,
-    sample_subject,
 )
 from .errors import (
     ConfigError,
@@ -30,18 +26,15 @@ from .errors import (
 from .gehan import (
     AftFit,
     DesignData,
-    GehanScore,
     SolverReport,
     bootstrap_se,
     fit_aft,
     gehan_loss,
     gehan_score,
-    gehan_score_detail,
     predict_aft,
     residuals,
     solve_gehan,
 )
-from .kernels import active_backend
 from .simulation import (
     OlsFit,
     ReplicationResult,

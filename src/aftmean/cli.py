@@ -47,7 +47,7 @@ class RunConfig:
     log_time: bool
     truncation: Truncation
     bootstrap: int
-    seed: int
+    seed: int | None
     threshold: float
     scenario: str | None
     reps_override: int | None
@@ -247,7 +247,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
     scenario = parse_scenario_text(
         text,
         reps_override=cfg.reps_override,
-        seed_override=None if cfg.seed == _SEED_DEFAULT else cfg.seed,
+        seed_override=cfg.seed,
     )
     if scenario.study == "estimation":
         table = run_estimation_scenario(scenario)
@@ -324,6 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--reps", type=int, default=None,
                      help="override the scenario's replication count")
     _add_common_flags(sim)
+    sim.set_defaults(seed=None)  # no --seed: the scenario file's own seed
 
     km = commands.add_parser("km-check", help="residual KM tail diagnostic")
     _add_model_flags(km)

@@ -195,18 +195,6 @@ class SeedSpec:
             np.random.SeedSequence(self.master, spawn_key=(self.stream,))
         )
 
-    def child(self, stream: int) -> "SeedSpec":
-        return SeedSpec(self.master, stream)
-
-
-@dataclass(frozen=True)
-class ObservedRecord:
-    """One subject: observed time, event indicator, covariate vector."""
-
-    time: float
-    event: bool
-    covariates: np.ndarray
-
 
 @dataclass(frozen=True)
 class SubjectModel:
@@ -246,18 +234,3 @@ class SubjectModel:
         t = self.shift + x @ np.asarray(self.slopes) + self.error.sample(rng, size)
         return t, x
 
-
-def sample_error(law: ErrorLaw, rng: np.random.Generator) -> float:
-    """One draw from an error law."""
-    return float(law.sample(rng))
-
-
-def law_mean(law: ErrorLaw) -> float:
-    """Exact analytic mean of an error law."""
-    return law.mean()
-
-
-def sample_subject(model: SubjectModel, rng: np.random.Generator) -> ObservedRecord:
-    """Draw a single right-censored subject from the model."""
-    y, event, x = model.sample(rng, 1)
-    return ObservedRecord(float(y[0]), bool(event[0]), x[0])

@@ -83,15 +83,6 @@ class DesignData:
 
 
 @dataclass(frozen=True)
-class GehanScore:
-    """Estimating-function value plus the per-subject risk-set averages behind it."""
-
-    value: np.ndarray
-    h1: np.ndarray  # at-risk fraction at each subject's own residual
-    h2: np.ndarray  # covariate sum over that risk set, divided by n
-
-
-@dataclass(frozen=True)
 class SolverReport:
     """What the slope solver did and how well the score vanished.
 
@@ -140,26 +131,6 @@ def gehan_score(beta, data: DesignData) -> np.ndarray:
     """Rank-based estimating function at ``beta`` (O(n log n) path)."""
     es, ds, xs = _sorted_parts(data, beta)
     return kernels.gehan_score_sorted(es, ds, xs) / data.n**2
-
-
-def gehan_score_detail(beta, data: DesignData) -> GehanScore:
-    """Score together with the risk-set evaluations at each subject's residual."""
-    n, d = data.n, data.d
-    eps = residuals(data, beta)
-    order = np.argsort(eps, kind="stable")
-    es = eps[order]
-    xs = data.covariates[order]
-    lo = np.searchsorted(es, es, side="left")
-    suffix = np.vstack([np.cumsum(xs[::-1], axis=0)[::-1], np.zeros((1, d))])
-    h1_sorted = (n - lo) / n
-    h2_sorted = suffix[lo] / n
-    h1 = np.empty(n)
-    h2 = np.empty((n, d))
-    h1[order] = h1_sorted
-    h2[order] = h2_sorted
-    ds = data.event.astype(np.float64)
-    value = (ds[:, None] * (h1[:, None] * data.covariates - h2)).sum(axis=0) / n
-    return GehanScore(value, h1, h2)
 
 
 def _profile_minimum(bp, w, s0):
@@ -338,7 +309,13 @@ def _coordinate_descent(y, delta, x, beta, tol, max_sweeps=20):
         for k in range(d):
             others = np.delete(np.arange(d), k)
             y_adj = y - x[:, others] @ beta[others]
-            bk, _ = _solve_coordinate(y_adj, delta, x[:, k])
+            try:
+                bk, _ = _solve_coordinate(y_adj, delta, x[:, k])
+            except GehanSolverError as exc:
+                # the profile error carries only coordinate k's endpoint
+                best = beta.copy()
+                best[k] = exc.best[0]
+                raise GehanSolverError(str(exc), best=best) from exc
             if bk is None:
                 continue  # flat coordinate: leave as-is
             shift = max(shift, abs(bk - beta[k]))

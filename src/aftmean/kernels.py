@@ -1,9 +1,8 @@
-"""Hot numeric kernels, each with a numba-compiled and a pure-NumPy path.
+"""Hot numeric kernels, vectorized with NumPy.
 
-Inputs arrive pre-sorted where order matters so both paths share the exact
-same NumPy sort.  The active implementation is picked at import time (see
-``_backend``); the ``*_numpy`` / ``*_numba`` variants remain importable so
-benchmarks and tests can compare the two directly.
+Inputs arrive pre-sorted where order matters.  Callers reach these through
+the module (``kernels.<name>(...)``) rather than importing the functions, so
+a profiler can time each kernel by rebinding its module attribute.
 
 Raw-sum convention: the Gehan kernels return the unnormalized double sum;
 callers divide by n**2.
@@ -11,71 +10,31 @@ callers divide by n**2.
 
 import numpy as np
 
-from ._backend import HAVE_NUMBA, USE_NUMBA, compile_kernel
+# Events per block in d1_pair_profile: bounds the pair matrices to
+# PAIR_CHUNK * n entries however many events there are.
+PAIR_CHUNK = 256
 
 # ---------------------------------------------------------------------------
 # Gehan loss: sum_i d_i * sum_{j: e_j > e_i} (e_j - e_i), residuals ascending.
 
 
-def gehan_loss_sorted_numpy(es, ds):
+def gehan_loss_sorted(es, ds):
     n = es.shape[0]
     hi = np.searchsorted(es, es, side="right")
     suffix = np.concatenate([np.cumsum(es[::-1])[::-1], [0.0]])
     return float(np.sum(ds * (suffix[hi] - (n - hi) * es)))
 
 
-def _gehan_loss_sorted_loop(es, ds):
-    n = es.shape[0]
-    total = 0.0
-    above_sum = 0.0  # sum of residuals strictly greater than the current value
-    above_cnt = 0
-    i = n - 1
-    while i >= 0:
-        g = i
-        while g > 0 and es[g - 1] == es[i]:
-            g -= 1
-        for k in range(g, i + 1):
-            if ds[k] > 0.0:
-                total += above_sum - above_cnt * es[k]
-        for k in range(g, i + 1):
-            above_sum += es[k]
-        above_cnt += i - g + 1
-        i = g - 1
-    return total
-
-
 # ---------------------------------------------------------------------------
 # Gehan score: sum_i d_i * sum_{j: e_j >= e_i} (x_i - x_j), per coordinate.
 
 
-def gehan_score_sorted_numpy(es, ds, xs):
+def gehan_score_sorted(es, ds, xs):
     n, d = xs.shape
     lo = np.searchsorted(es, es, side="left")
     suffix = np.vstack([np.cumsum(xs[::-1], axis=0)[::-1], np.zeros((1, d))])
     cnt = (n - lo).astype(np.float64)
     return (ds[:, None] * (cnt[:, None] * xs - suffix[lo])).sum(axis=0)
-
-
-def _gehan_score_sorted_loop(es, ds, xs):
-    n, d = xs.shape
-    out = np.zeros(d)
-    run = np.zeros(d)  # sum of x_j over residuals >= current value group
-    cnt = 0.0
-    i = n - 1
-    while i >= 0:
-        g = i
-        while g > 0 and es[g - 1] == es[i]:
-            g -= 1
-        for k in range(g, i + 1):
-            for c in range(d):
-                run[c] += xs[k, c]
-        cnt += i - g + 1
-        for k in range(g, i + 1):
-            if ds[k] > 0.0:
-                for c in range(d):
-                    out[c] += cnt * xs[k, c] - run[c]
-        i = g - 1
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -84,13 +43,13 @@ def _gehan_score_sorted_loop(es, ds, xs):
 # the derivative jumps up by |x_j - x_i|; s0 is the derivative at -inf.
 
 
-def d1_pair_profile_numpy(y, delta, x, chunk=256):
+def d1_pair_profile(y, delta, x):
     ev = np.flatnonzero(delta > 0.0)
     parts_bp = []
     parts_w = []
     s0 = 0.0
-    for start in range(0, ev.size, chunk):
-        idx = ev[start : start + chunk]
+    for start in range(0, ev.size, PAIR_CHUNK):
+        idx = ev[start : start + PAIR_CHUNK]
         slope = x[None, :] - x[idx, None]
         gap = y[None, :] - y[idx, None]
         keep = slope != 0.0
@@ -103,44 +62,13 @@ def d1_pair_profile_numpy(y, delta, x, chunk=256):
     return np.concatenate(parts_bp), np.concatenate(parts_w), float(s0)
 
 
-def _d1_pair_count_loop(delta, x):
-    n = x.shape[0]
-    m = 0
-    for i in range(n):
-        if delta[i] > 0.0:
-            for j in range(n):
-                if x[j] != x[i]:
-                    m += 1
-    return m
-
-
-def _d1_pair_fill_loop(y, delta, x, bp, w):
-    n = x.shape[0]
-    k = 0
-    s0 = 0.0
-    for i in range(n):
-        if delta[i] > 0.0:
-            for j in range(n):
-                b = x[j] - x[i]
-                if b != 0.0:
-                    bp[k] = (y[j] - y[i]) / b
-                    if b > 0.0:
-                        w[k] = b
-                        s0 -= b
-                    else:
-                        w[k] = -b
-                    k += 1
-    return s0
-
-
 # ---------------------------------------------------------------------------
 # Cox partial likelihood sufficient statistics under Breslow tie handling.
 # Inputs sorted by observed time DESCENDING; ties share one risk set.
 # Returns (loglik, score, hessian); `shift` is max(eta) for stable exps.
 
 
-def cox_suffstats_numpy(eta, ys, ds, xs, shift):
-    n, d = xs.shape
+def cox_suffstats(eta, ys, ds, xs, shift):
     w = np.exp(eta - shift)
     s0 = np.cumsum(w)
     s1 = np.cumsum(w[:, None] * xs, axis=0)
@@ -155,73 +83,6 @@ def cox_suffstats_numpy(eta, ys, ds, xs, shift):
     return loglik, score, hess
 
 
-def _cox_suffstats_loop(eta, ys, ds, xs, shift):
-    n, d = xs.shape
-    s0 = 0.0
-    s1 = np.zeros(d)
-    s2 = np.zeros((d, d))
-    loglik = 0.0
-    score = np.zeros(d)
-    hess = np.zeros((d, d))
-    i = 0
-    while i < n:
-        g = i
-        while g + 1 < n and ys[g + 1] == ys[i]:
-            g += 1
-        for k in range(i, g + 1):
-            wk = np.exp(eta[k] - shift)
-            s0 += wk
-            for a in range(d):
-                s1[a] += wk * xs[k, a]
-                for b in range(d):
-                    s2[a, b] += wk * xs[k, a] * xs[k, b]
-        for k in range(i, g + 1):
-            if ds[k] > 0.0:
-                loglik += eta[k] - (np.log(s0) + shift)
-                for a in range(d):
-                    xbar_a = s1[a] / s0
-                    score[a] += xs[k, a] - xbar_a
-                    for b in range(d):
-                        hess[a, b] -= s2[a, b] / s0 - xbar_a * (s1[b] / s0)
-        i = g + 1
-    return loglik, score, hess
-
-
-# ---------------------------------------------------------------------------
-# Compile and select.
-
-if HAVE_NUMBA:
-    gehan_loss_sorted_numba = compile_kernel(_gehan_loss_sorted_loop)
-    gehan_score_sorted_numba = compile_kernel(_gehan_score_sorted_loop)
-    _d1_pair_count_numba = compile_kernel(_d1_pair_count_loop)
-    _d1_pair_fill_numba = compile_kernel(_d1_pair_fill_loop)
-    cox_suffstats_numba = compile_kernel(_cox_suffstats_loop)
-
-    def d1_pair_profile_numba(y, delta, x):
-        m = _d1_pair_count_numba(delta, x)
-        bp = np.empty(m)
-        w = np.empty(m)
-        s0 = _d1_pair_fill_numba(y, delta, x, bp, w)
-        return bp, w, float(s0)
-
-else:  # pragma: no cover
-    gehan_loss_sorted_numba = None
-    gehan_score_sorted_numba = None
-    cox_suffstats_numba = None
-    d1_pair_profile_numba = None
-
-if USE_NUMBA:
-    gehan_loss_sorted = gehan_loss_sorted_numba
-    gehan_score_sorted = gehan_score_sorted_numba
-    d1_pair_profile = d1_pair_profile_numba
-    cox_suffstats = cox_suffstats_numba
-else:
-    gehan_loss_sorted = gehan_loss_sorted_numpy
-    gehan_score_sorted = gehan_score_sorted_numpy
-    d1_pair_profile = d1_pair_profile_numpy
-    cox_suffstats = cox_suffstats_numpy
-
-
 def active_backend() -> str:
-    """Name of the kernel implementation in use ("numba" or "numpy")."""
-    return "numba" if USE_NUMBA else "numpy"
+    """Name of the kernel implementation; the benchmark's environment record reads it."""
+    return "numpy"

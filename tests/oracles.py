@@ -95,6 +95,30 @@ def cox_loglik_direct(beta, y, delta, x):
     return out
 
 
+def cox_suffstats_direct(beta, y, delta, x):
+    """Breslow log-likelihood, score and Hessian from their defining risk-set sums.
+
+    ``x`` is an (n, d) matrix; each event's risk set is every subject with
+    ``y >= y_i``, so tied times share one risk set.
+    """
+    n, d = x.shape
+    beta = np.asarray(beta, dtype=float)
+    loglik = 0.0
+    score = np.zeros(d)
+    hess = np.zeros((d, d))
+    for i in range(n):
+        if delta[i] > 0:
+            xr = x[y >= y[i]]
+            w = np.exp(xr @ beta)
+            total = np.sum(w)
+            xbar = (w @ xr) / total
+            second = (w[:, None] * xr).T @ xr / total
+            loglik += x[i] @ beta - np.log(total)
+            score += x[i] - xbar
+            hess -= second - np.outer(xbar, xbar)
+    return loglik, score, hess
+
+
 def bisect_root(fn, lo, hi, tol=1e-12, max_iter=200):
     """Plain bisection for a decreasing-or-increasing continuous function."""
     flo = fn(lo)

@@ -300,6 +300,22 @@ def test_cmd_simulate_byte_identical(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_cmd_simulate_explicit_seed_equal_to_flag_default(tmp_path):
+    # --seed 20260810 is the other commands' default; simulate must still honour it
+    body = "study = estimation\nerror = normal(0.5)\nx2 = normal(0,1)\ntau = 4\nn = 50\nreps = 3\n"
+    own, flagged = tmp_path / "own.cfg", tmp_path / "flagged.cfg"
+    own.write_text(body + "seed = 20260810\n")
+    flagged.write_text(body + "seed = 6\n")
+    a, b, c = tmp_path / "a.csv", tmp_path / "b.csv", tmp_path / "c.csv"
+    assert main(["simulate", "--scenario", str(own), "--output", str(a)]) == EXIT_OK
+    assert main(
+        ["simulate", "--scenario", str(flagged), "--output", str(b), "--seed", "20260810"]
+    ) == EXIT_OK
+    assert main(["simulate", "--scenario", str(flagged), "--output", str(c)]) == EXIT_OK
+    assert a.read_bytes() == b.read_bytes()
+    assert b.read_bytes() != c.read_bytes()
+
+
 # ---------------------------------------------------------------- km-check
 
 

@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
+from aftmean import kernels
 from aftmean.cox import breslow, cox_partial_loglik, fit_cox, predict_cox_mean
 from aftmean.distributions import CovariateLaw, ErrorLaw, SeedSpec, SubjectModel
 from aftmean.errors import CoxFitError
 from aftmean.gehan import DesignData, solve_gehan
 from aftmean.survfit import ResidualSample, km_fit, mean_of
 from conftest import random_censored_sample
-from oracles import bisect_root, cox_loglik_direct, cox_score_direct
+from oracles import bisect_root, cox_loglik_direct, cox_score_direct, cox_suffstats_direct
 
 
 def model41_sample(seed, n, censored=False):
@@ -56,6 +57,25 @@ def test_loglik_matches_direct_sums(rng):
         assert cox_partial_loglik([beta], data) == pytest.approx(
             cox_loglik_direct(beta, y, ev.astype(float), x[:, 0]), abs=1e-9
         )
+
+
+def test_suffstats_kernel_matches_direct_sums_with_ties():
+    rng = np.random.default_rng(41)
+    for d in (1, 2, 3):
+        for _ in range(30):
+            n = int(rng.integers(3, 40))
+            y, ev, x = random_censored_sample(rng, n, d=d)
+            if rng.random() < 0.5:
+                y = np.round(y, 1)  # tied times share one risk set
+            beta = rng.normal(0.0, 0.7, d)
+            order = np.argsort(-y, kind="stable")
+            ys, ds, xs = y[order], ev[order].astype(float), x[order]
+            eta = xs @ beta
+            ll, score, hess = kernels.cox_suffstats(eta, ys, ds, xs, float(eta.max()))
+            ll_o, score_o, hess_o = cox_suffstats_direct(beta, y, ev.astype(float), x)
+            assert ll == pytest.approx(ll_o, abs=1e-10)
+            np.testing.assert_allclose(score, score_o, atol=1e-10)
+            np.testing.assert_allclose(hess, hess_o, atol=1e-10)
 
 
 # ------------------------------------------------------------- fitting

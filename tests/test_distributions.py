@@ -11,9 +11,6 @@ from aftmean.distributions import (
     ErrorLaw,
     SeedSpec,
     SubjectModel,
-    law_mean,
-    sample_error,
-    sample_subject,
 )
 from aftmean.errors import ConfigError
 
@@ -29,11 +26,11 @@ ZERO_MEAN_LAWS = [
 
 
 def test_law_means_exact():
-    assert law_mean(ErrorLaw.normal(0.5)) == 0.0
-    assert law_mean(ErrorLaw.student_t(30)) == 0.0
-    assert law_mean(ErrorLaw.extreme_value_min()) == pytest.approx(-0.57721, abs=1e-5)
+    assert ErrorLaw.normal(0.5).mean() == 0.0
+    assert ErrorLaw.student_t(30).mean() == 0.0
+    assert ErrorLaw.extreme_value_min().mean() == pytest.approx(-0.57721, abs=1e-5)
     # the max-Gumbel location is pinned so the mean cancels exactly
-    assert law_mean(ErrorLaw.gumbel_max(0.5)) == pytest.approx(0.0, abs=1e-15)
+    assert ErrorLaw.gumbel_max(0.5).mean() == pytest.approx(0.0, abs=1e-15)
 
 
 def test_extreme_value_min_mean_against_quadrature():
@@ -93,7 +90,7 @@ def test_zero_mean_laws_sample_mean_bound(law):
 def test_scalar_draws_are_floats():
     rng = SeedSpec(1).generator()
     for law in ZERO_MEAN_LAWS + [ErrorLaw.extreme_value_min()]:
-        assert isinstance(sample_error(law, rng), float)
+        assert isinstance(law.sample(rng), float)
 
 
 def test_invalid_parameters_rejected():
@@ -144,9 +141,9 @@ def test_sample_subject_deterministic_plugin():
         covariates=(CovariateLaw.uniform(1.0, 1.0 + 1e-12), CovariateLaw.uniform(0.0, 1e-12)),
         censoring=None,
     )
-    rec = sample_subject(model, SeedSpec(9).generator())
-    assert rec.time == pytest.approx(3.0, abs=1e-9)
-    assert rec.event
+    y, event, _ = model.sample(SeedSpec(9).generator(), 1)
+    assert y[0] == pytest.approx(3.0, abs=1e-9)
+    assert event[0]
 
 
 def test_degenerate_truncation_censors_everything():

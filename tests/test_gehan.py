@@ -1,3 +1,5 @@
+from importlib import resources
+
 import numpy as np
 import pytest
 
@@ -9,11 +11,11 @@ from aftmean.gehan import (
     fit_aft,
     gehan_loss,
     gehan_score,
-    gehan_score_detail,
     predict_aft,
     residuals,
     solve_gehan,
 )
+from aftmean.simulation import parse_scenario_text
 from aftmean.survfit import km_fit, mean_of, ResidualSample
 from conftest import random_censored_sample
 from oracles import gehan_loss_double_sum, gehan_loss_on_grid, gehan_score_double_sum
@@ -78,21 +80,6 @@ def test_score_translation_invariance(rng):
     for c in (-3.0, 11.0):
         moved = gehan_score(beta, DesignData(y + c, ev, x))
         np.testing.assert_allclose(moved, base, atol=1e-12)
-
-
-def test_score_detail_risk_fractions(rng):
-    y, ev, x = random_censored_sample(rng, 20, d=2)
-    data = DesignData(y, ev, x)
-    beta = np.array([0.5, 0.2])
-    detail = gehan_score_detail(beta, data)
-    eps = residuals(data, beta)
-    n = len(y)
-    for i in range(n):
-        assert detail.h1[i] == pytest.approx(np.sum(eps >= eps[i]) / n, abs=1e-12)
-        np.testing.assert_allclose(
-            detail.h2[i], x[eps >= eps[i]].sum(axis=0) / n, atol=1e-12
-        )
-    np.testing.assert_allclose(detail.value, gehan_score(beta, data), atol=1e-12)
 
 
 # ---------------------------------------------------------------- loss
@@ -216,6 +203,18 @@ def test_solver_unbounded_direction_raises():
     data = DesignData(np.array([0.0, 1.0]), np.array([1, 0]), np.array([[0.0], [1.0]]))
     with pytest.raises(GehanSolverError, match="unbounded"):
         solve_gehan(data)
+
+
+def test_solver_error_best_has_full_length_for_d2():
+    # replicate 0 of this cell has every event at x1 = 0, so coordinate
+    # descent meets a loss that is flat toward +inf along x1
+    cfg = resources.files("aftmean").joinpath("configs", "table1_b_x2u05_tau1.5_n100.cfg")
+    scenario = parse_scenario_text(cfg.read_text())
+    y, ev, x = scenario.subject_model().sample(SeedSpec(scenario.seed, 0).generator(), scenario.n)
+    assert np.all(x[ev, 0] == 0.0)
+    with pytest.raises(GehanSolverError, match="flat toward \\+inf") as info:
+        solve_gehan(DesignData(y, ev, x))
+    assert info.value.best.shape == (2,)
 
 
 def test_solver_no_events_raises():
