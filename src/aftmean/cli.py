@@ -45,12 +45,20 @@ class RunConfig:
     event: str | None
     covariates: tuple[str, ...]
     log_time: bool
-    truncation: Truncation
+    mode: str | None  # None: simulate takes the scenario file's mode
+    epsilon: float | None
     bootstrap: int
     seed: int | None
     threshold: float
     scenario: str | None
     reps_override: int | None
+
+    @property
+    def truncation(self) -> Truncation:
+        """The truncation rule that ``--mode`` and ``--epsilon`` select."""
+        if self.mode == "theoretical":
+            return Truncation.theoretical(self.epsilon)
+        return Truncation.max_observed()
 
 
 def load_csv(
@@ -121,12 +129,6 @@ def save_design_csv(path: str, data: DesignData, response: str, event: str,
             )
 
 
-def _truncation_from(args) -> Truncation:
-    if args.mode == "maxobs":
-        return Truncation.max_observed()
-    return Truncation.theoretical(args.epsilon)
-
-
 def _config_from(args) -> RunConfig:
     covs = tuple(args.covariates.split(",")) if getattr(args, "covariates", None) else ()
     return RunConfig(
@@ -137,7 +139,8 @@ def _config_from(args) -> RunConfig:
         event=getattr(args, "event", None),
         covariates=covs,
         log_time=getattr(args, "log_time", False),
-        truncation=_truncation_from(args),
+        mode=args.mode,
+        epsilon=args.epsilon,
         bootstrap=getattr(args, "boot", 0),
         seed=args.seed,
         threshold=getattr(args, "threshold", 0.15),
@@ -196,14 +199,15 @@ def cmd_predict_cv(cfg: RunConfig) -> int:
     data = _load_design(cfg)
     if data.n < 3:
         raise DataError("leave-one-out cross-validation needs at least 3 subjects")
-    full = fit_aft(data, truncation=cfg.truncation)
+    truncation = cfg.truncation
+    full = fit_aft(data, truncation=truncation)
     predictions = np.full(data.n, np.nan)
     failed = np.zeros(data.n, dtype=bool)
     for i in range(data.n):
         keep = np.arange(data.n) != i
         try:
             fold = fit_aft(
-                data.subset(keep), truncation=cfg.truncation, init=full.slopes
+                data.subset(keep), truncation=truncation, init=full.slopes
             )
             predictions[i] = predict_aft(fold, data.covariates[i])
         except EstimationError:
@@ -248,6 +252,8 @@ def cmd_simulate(cfg: RunConfig) -> int:
         text,
         reps_override=cfg.reps_override,
         seed_override=cfg.seed,
+        mode_override=cfg.mode,
+        epsilon_override=cfg.epsilon,
     )
     if scenario.study == "estimation":
         table = run_estimation_scenario(scenario)
@@ -324,7 +330,8 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--reps", type=int, default=None,
                      help="override the scenario's replication count")
     _add_common_flags(sim)
-    sim.set_defaults(seed=None)  # no --seed: the scenario file's own seed
+    # a flag left out keeps the scenario file's own seed, mode and epsilon
+    sim.set_defaults(seed=None, mode=None, epsilon=None)
 
     km = commands.add_parser("km-check", help="residual KM tail diagnostic")
     _add_model_flags(km)

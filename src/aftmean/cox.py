@@ -16,6 +16,10 @@ from . import kernels
 from .errors import CoxFitError
 from .gehan import DesignData
 
+# Test rows per block in predict_cox_mean: bounds its matrices to
+# PREDICT_BLOCK * (baseline jump points) entries.
+PREDICT_BLOCK = 128
+
 
 @dataclass(frozen=True)
 class BaselineHazard:
@@ -150,7 +154,8 @@ def predict_cox_mean(fit: CoxFit, xnew) -> float | np.ndarray:
     """Mean of 1 - exp(-Lambda0(t) * exp(x'beta)), forced to one at t_max.
 
     The integral is the exact finite sum over the baseline jump points plus
-    the leftover mass placed at the last observed time.
+    the leftover mass placed at the last observed time.  Rows are computed
+    ``PREDICT_BLOCK`` at a time, so memory stays O(block * jump points).
     """
     xnew = np.asarray(xnew, dtype=np.float64)
     single = xnew.ndim == 1
@@ -162,8 +167,18 @@ def predict_cox_mean(fit: CoxFit, xnew) -> float | np.ndarray:
     if t_ev.size == 0:
         out = np.full(xmat.shape[0], fit.t_max)
         return float(out[0]) if single else out
-    z = lam[None, :] * np.exp(eta)[:, None]
-    cdf = -np.expm1(-z)
-    masses = np.diff(np.concatenate([np.zeros((xmat.shape[0], 1)), cdf], axis=1), axis=1)
-    mean = masses @ t_ev + fit.t_max * (1.0 - cdf[:, -1])
+    n_rows = xmat.shape[0]
+    starts = list(range(0, n_rows, PREDICT_BLOCK))
+    if len(starts) > 1 and n_rows - starts[-1] == 1:
+        # numpy takes a one-row product through dot, which rounds unlike the
+        # matrix-vector product of a taller block: a lone last row joins the
+        # block before it, so every row sums as in one dense product
+        starts.pop()
+    mean = np.empty(n_rows)
+    for start, stop in zip(starts, starts[1:] + [n_rows]):
+        rows = slice(start, stop)
+        z = lam[None, :] * np.exp(eta[rows])[:, None]
+        cdf = -np.expm1(-z)
+        masses = np.diff(np.concatenate([np.zeros((cdf.shape[0], 1)), cdf], axis=1), axis=1)
+        mean[rows] = masses @ t_ev + fit.t_max * (1.0 - cdf[:, -1])
     return float(mean[0]) if single else mean

@@ -133,17 +133,20 @@ def gehan_score(beta, data: DesignData) -> np.ndarray:
     return kernels.gehan_score_sorted(es, ds, xs) / data.n**2
 
 
-def _profile_minimum(bp, w, s0):
+def _profile_minimum(bp, w, s0, slack=None):
     """Minimize a piecewise-linear convex profile given its kink structure.
 
     Returns (minimizer, kinks) treating near-zero derivative stretches as
-    flat intervals (midpoint rule).  Raises on unbounded descent.
+    flat intervals (midpoint rule).  Raises on unbounded descent.  ``slack``
+    defaults to ``_SLACK_REL`` times the total kink weight; a caller passing
+    part of a profile passes the slack of the whole one.
     """
     order = np.argsort(bp, kind="stable")
     bp = bp[order]
     w = w[order]
     cum = s0 + np.cumsum(w)
-    slack = _SLACK_REL * float(np.sum(w))
+    if slack is None:
+        slack = _SLACK_REL * float(np.sum(w))
     if s0 >= -slack:
         raise GehanSolverError(
             "unbounded direction: loss nonincreasing toward -inf",
@@ -174,6 +177,141 @@ def _solve_coordinate(y, delta, x):
     if bp.size == 0:
         return None, 0
     return _profile_minimum(bp, w, s0)
+
+
+# ---------------------------------------------------------------------------
+# d = 1 without the O(n_events * n) kink list.  The derivative of the
+# profile at b is one sort of the residuals y - b x plus a suffix sum (at a
+# residual tie, one of its one-sided values), so bisection on it brackets
+# both ends of the minimum: the crossings of -slack and +slack that
+# _profile_minimum looks for.  Once only a few subjects change order across
+# the bracket, their pairs alone are enumerated and the kink scan finishes
+# on them.
+
+
+def _sorted_derivative(ds, xs):
+    """sum_i d_i * sum_{j after i} (x_i - x_j) over subjects in the given order."""
+    m = xs.shape[0]
+    suffix = np.cumsum(xs[::-1])[::-1]
+    return float(ds @ ((m - np.arange(m)) * xs - suffix))
+
+
+@dataclass(frozen=True)
+class _Probe:
+    """The profile at slope ``b``: residual order, derivative, near ties."""
+
+    b: float
+    order: np.ndarray
+    deriv: float
+    near: np.ndarray  # runs of residuals tied up to rounding, x not all equal
+
+
+def _line_search_d1(y, delta, x, start):
+    """Exact d = 1 minimizer in O(n log n) time and O(n) memory.
+
+    Memory exceeds O(n) only when many kinks coincide at the minimum (a
+    lattice of covariate and time values), which bisection cannot split.
+    Returns (slope, derivative evaluations + kinks enumerated), or None when
+    the profile is flat or unbounded, or when rounding defeats the local
+    scan; the full kink scan then decides.
+    """
+    n = y.shape[0]
+    # derivative at -inf and total kink weight from sorted x and prefix sums
+    xsort = np.sort(x)
+    prefix = np.concatenate([[0.0], np.cumsum(xsort)])
+    xe = x[delta > 0.0]
+    below = np.searchsorted(xsort, xe, side="left")
+    above = np.searchsorted(xsort, xe, side="right")
+    rise = (prefix[n] - prefix[above]) - (n - above) * xe
+    fall = below * xe - prefix[below]
+    s0 = -float(rise.sum())
+    total = float(rise.sum() + fall.sum())
+    slack = _SLACK_REL * total
+    if s0 >= -slack or s0 + total <= slack:
+        return None
+
+    # Residuals closer than this may sort against the sign of their kink
+    # expression (gap / slope).  A run of them goes to the local scan whole
+    # unless it shares one x value (duplicated rows): such pairs have no kink.
+    ulps = 8.0 * np.finfo(np.float64).eps
+    ymax = float(np.max(np.abs(y)))
+    xmax = float(np.max(np.abs(x)))
+    rank = np.arange(n)
+    probes = 0
+
+    def probe(b):
+        nonlocal probes
+        probes += 1
+        e = y - b * x
+        order = np.argsort(e, kind="stable")
+        xs = x[order]
+        apart = np.diff(e[order]) > ulps * (ymax + abs(b) * xmax)
+        runs = np.flatnonzero(np.concatenate([[True], apart]))
+        mixed = np.maximum.reduceat(xs, runs) > np.minimum.reduceat(xs, runs)
+        near = np.empty(n, dtype=bool)
+        near[order] = np.repeat(mixed, np.diff(np.append(runs, n)))
+        return _Probe(b, order, _sorted_derivative(delta[order], xs), near)
+
+    def moved(lo, hi):
+        """Subjects whose residual order differs between the two ends."""
+        pos = np.empty(n, dtype=np.intp)
+        pos[hi.order] = rank
+        p = pos[lo.order]
+        out = np.zeros(n, dtype=bool)
+        out[lo.order] = (np.maximum.accumulate(p) > p) | (
+            np.minimum.accumulate(p[::-1])[::-1] < p
+        )
+        return out | lo.near | hi.near
+
+    def few(lo, hi):
+        """The movers form at most n pairs, so their kinks fit in O(n)."""
+        k = int(moved(lo, hi).sum())
+        return k * (k - 1) <= 2 * n
+
+    def bisect(lo, hi, left_of):
+        while not few(lo, hi):
+            b = lo.b + 0.5 * (hi.b - lo.b)
+            if not lo.b < b < hi.b:
+                break
+            p = probe(b)
+            if left_of(p.deriv):
+                lo = p
+            else:
+                hi = p
+        return lo, hi
+
+    # bracket: lo left of both crossings, hi right of both, by doubling steps
+    spread = float(np.ptp(y)) / float(np.ptp(x)) + abs(start)
+    first_step = spread / n if spread > 0.0 else 1.0
+    lo = hi = probe(start)
+    step = first_step
+    while lo.deriv >= -slack and np.isfinite(start - step):
+        lo = probe(start - step)
+        step *= 2.0
+    step = first_step
+    while hi.deriv <= slack and np.isfinite(start + step):
+        hi = probe(start + step)
+        step *= 2.0
+    if lo.deriv >= -slack or hi.deriv <= slack:
+        return None
+
+    lo, right = bisect(lo, hi, lambda s: s < -slack)
+    if right.deriv > slack:
+        hi = right
+    else:  # right lies on a flat bottom: bracket its far end on its own
+        hi = bisect(right, hi, lambda s: s <= slack)[1]
+
+    # Pairs among the movers come from their kinks; every other pair keeps
+    # its order over [lo, hi], so its share of the derivative is read at lo.
+    sub = moved(lo, hi)
+    bp, w, s_sub = kernels.d1_pair_profile(y[sub], delta[sub], x[sub])
+    keep = sub[lo.order]
+    inner = _sorted_derivative(delta[lo.order][keep], x[lo.order][keep])
+    try:
+        beta1, _ = _profile_minimum(bp, w, lo.deriv - inner + s_sub, slack)
+    except GehanSolverError:
+        return None
+    return beta1, probes + bp.size
 
 
 def _ols_event_slopes(data: DesignData) -> np.ndarray | None:
@@ -224,14 +362,25 @@ def _solve_with_report(data: DesignData, init, tol) -> tuple[np.ndarray, SolverR
     d = data.d
 
     if d == 1:
-        beta1, kinks = _solve_coordinate(y, delta, x[:, 0])
+        if init is not None:
+            start = float(np.asarray(init, dtype=np.float64).reshape(-1)[0])
+        else:
+            ols = _ols_event_slopes(data)
+            start = 0.0 if ols is None else float(ols[0])
+        found = _line_search_d1(y, delta, x[:, 0], start)
+        if found is None:
+            # flat or unbounded (or a local scan that rounding defeated):
+            # the full scan decides, and raises with its endpoint
+            found = _solve_coordinate(y, delta, x[:, 0])
+            method = "exact-scan"
+        else:
+            method = "bisection+local-scan"
+        beta1, iterations = found
         if beta1 is None:
             raise GehanSolverError(
                 "covariate constant across all informative pairs; slope not identified"
             )
         beta = np.array([beta1])
-        method = "exact-scan"
-        iterations = kinks
     else:
         starts = [np.zeros(d) if init is None else np.asarray(init, dtype=np.float64)]
         ols = _ols_event_slopes(data)
@@ -328,12 +477,17 @@ def _coordinate_descent(y, delta, x, beta, tol, max_sweeps=20):
 def solve_gehan(data: DesignData, init=None, tol: float = 1e-6) -> np.ndarray:
     """Slope estimate minimizing the Gehan rank objective.
 
-    ``d = 1`` is solved exactly by scanning the kinks of the piecewise-linear
-    profile (midpoint of a flat bottom); higher dimensions run deterministic
-    multi-start coordinate descent with a Nelder-Mead polish.  The result must
-    drive the estimating function below the discreteness-scale bound
-    (coordinate range / n) or a :class:`GehanSolverError` is raised carrying
-    the best iterate.
+    ``d = 1`` is solved exactly in O(n log n) time and O(n) memory: bisection
+    on the one-sided derivative of the piecewise-linear profile, started from
+    ``init`` or the event-only OLS slope, brackets the minimum until few
+    subjects change residual order across it; the kinks of their pairs then
+    give the minimizer (midpoint of a flat bottom), the same value a scan of
+    every kink gives.  A flat or unbounded profile is left to that full scan,
+    which raises.  Higher dimensions run deterministic multi-start
+    Nelder-Mead with a coordinate-descent polish, each coordinate a full kink
+    scan.  The result must drive the estimating function below the
+    discreteness-scale bound (coordinate range / n) or a
+    :class:`GehanSolverError` is raised carrying the best iterate.
     """
     beta, _ = _solve_with_report(data, init, tol)
     return beta

@@ -326,8 +326,13 @@ _SCENARIO_KEYS = {
 
 
 def parse_scenario_text(text: str, *, reps_override: int | None = None,
-                        seed_override: int | None = None) -> Scenario:
-    """Build a Scenario from flat ``key = value`` text (# starts a comment)."""
+                        seed_override: int | None = None,
+                        mode_override: str | None = None,
+                        epsilon_override: float | None = None) -> Scenario:
+    """Build a Scenario from flat ``key = value`` text (# starts a comment).
+
+    An override that is not None replaces the file's value for its key.
+    """
     entries: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -350,11 +355,14 @@ def parse_scenario_text(text: str, *, reps_override: int | None = None,
     n = int(need("n"))
     reps = reps_override if reps_override is not None else int(need("reps"))
     seed = seed_override if seed_override is not None else int(need("seed"))
-    mode = entries.get("mode", "maxobs").lower()
+    mode = (mode_override or entries.get("mode", "maxobs")).lower()
     if mode == "maxobs":
         truncation = Truncation.max_observed()
     elif mode == "theoretical":
-        truncation = Truncation.theoretical(float(entries.get("epsilon", 0.125)))
+        epsilon = epsilon_override
+        if epsilon is None:
+            epsilon = float(entries.get("epsilon", 0.125))
+        truncation = Truncation.theoretical(epsilon)
     else:
         raise ConfigError(f"unknown truncation mode {mode!r}")
 

@@ -134,3 +134,22 @@ def bisect_root(fn, lo, hi, tol=1e-12, max_iter=200):
         else:
             lo, flo = mid, fmid
     return 0.5 * (lo + hi)
+
+
+def predict_cox_mean_dense(fit, xnew):
+    """Cox mean prediction with every test row in one dense matrix.
+
+    The same arithmetic as the library's blocked version, on the whole
+    n_test x (jump points) matrix at once.
+    """
+    xmat = np.atleast_2d(np.asarray(xnew, dtype=float))
+    eta = np.clip(xmat @ fit.slopes, -700.0, 700.0)
+    keep = fit.baseline.times < fit.t_max
+    t_ev = fit.baseline.times[keep]
+    lam = fit.baseline.cumhaz[keep]
+    if t_ev.size == 0:
+        return np.full(xmat.shape[0], fit.t_max)
+    z = lam[None, :] * np.exp(eta)[:, None]
+    cdf = -np.expm1(-z)
+    masses = np.diff(np.concatenate([np.zeros((xmat.shape[0], 1)), cdf], axis=1), axis=1)
+    return masses @ t_ev + fit.t_max * (1.0 - cdf[:, -1])

@@ -316,6 +316,43 @@ def test_cmd_simulate_explicit_seed_equal_to_flag_default(tmp_path):
     assert b.read_bytes() != c.read_bytes()
 
 
+TAU4_BODY = (
+    "study = estimation\nerror = normal(0.5)\nx2 = normal(0,1)\n"
+    "tau = 4\nn = 50\nreps = 3\nseed = 6\n"
+)
+
+
+def _simulate_csv(scenario, output, *flags):
+    """Exit code of ``simulate`` and, on success, the CSV it wrote."""
+    code = main(["simulate", "--scenario", str(scenario), "--output", str(output), *flags])
+    return code, output.read_bytes() if code == EXIT_OK else None
+
+
+def test_cmd_simulate_truncation_flags_override_the_file(tmp_path):
+    plain, keyed = tmp_path / "plain.cfg", tmp_path / "keyed.cfg"
+    plain.write_text(TAU4_BODY)
+    keyed.write_text(TAU4_BODY + "mode = theoretical\nepsilon = 0.01\n")
+    out = tmp_path / "out.csv"
+    _, own = _simulate_csv(plain, out)
+    _, in_file = _simulate_csv(keyed, out)
+    _, flagged = _simulate_csv(plain, out, "--mode", "theoretical", "--epsilon", "0.01")
+    assert flagged == in_file
+    assert own != in_file
+    # no flag keeps the file's mode; --mode maxobs on the keyed file undoes it
+    assert _simulate_csv(keyed, out, "--mode", "maxobs")[1] == own
+
+
+def test_cmd_simulate_out_of_range_epsilon_aborts_only_when_used(tmp_path):
+    plain, keyed = tmp_path / "plain.cfg", tmp_path / "keyed.cfg"
+    plain.write_text(TAU4_BODY)
+    keyed.write_text(TAU4_BODY + "mode = theoretical\n")
+    out = tmp_path / "out.csv"
+    assert _simulate_csv(plain, out, "--epsilon", "0.5")[0] == EXIT_OK
+    assert _simulate_csv(keyed, out, "--mode", "maxobs", "--epsilon", "0.5")[0] == EXIT_OK
+    assert _simulate_csv(plain, out, "--mode", "theoretical", "--epsilon", "0.5")[0] == EXIT_CONFIG
+    assert _simulate_csv(keyed, out, "--epsilon", "0.5")[0] == EXIT_CONFIG
+
+
 # ---------------------------------------------------------------- km-check
 
 

@@ -1,14 +1,22 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from aftmean import kernels
-from aftmean.cox import breslow, cox_partial_loglik, fit_cox, predict_cox_mean
+from aftmean.cox import PREDICT_BLOCK, breslow, cox_partial_loglik, fit_cox, predict_cox_mean
 from aftmean.distributions import CovariateLaw, ErrorLaw, SeedSpec, SubjectModel
 from aftmean.errors import CoxFitError
 from aftmean.gehan import DesignData, solve_gehan
 from aftmean.survfit import ResidualSample, km_fit, mean_of
 from conftest import random_censored_sample
-from oracles import bisect_root, cox_loglik_direct, cox_score_direct, cox_suffstats_direct
+from oracles import (
+    bisect_root,
+    cox_loglik_direct,
+    cox_score_direct,
+    cox_suffstats_direct,
+    predict_cox_mean_dense,
+)
 
 
 def model41_sample(seed, n, censored=False):
@@ -231,6 +239,34 @@ def test_predict_vectorized(rng):
     out = predict_cox_mean(fit, xs)
     singles = [predict_cox_mean(fit, row) for row in xs]
     np.testing.assert_allclose(out, singles, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "n_test", [1, PREDICT_BLOCK - 1, PREDICT_BLOCK, PREDICT_BLOCK + 1, 2000]
+)
+def test_predict_blocks_match_dense_formula_bitwise(n_test):
+    fit = fit_cox(model41_sample(43, 400))
+    xs = SeedSpec(44).generator().normal(0.0, 1.5, (n_test, 1))
+    out = predict_cox_mean(fit, xs)
+    assert out.shape == (n_test,)
+    assert np.array_equal(out, predict_cox_mean_dense(fit, xs))
+    single = predict_cox_mean(fit, xs[0])
+    assert isinstance(single, float)
+    assert single == predict_cox_mean_dense(fit, xs[:1])[0]
+
+
+def test_predict_memory_is_blocked():
+    # uncensored n = 2000: 2000 jump points, so one dense 2000 x 2000
+    # matrix alone would take 32 MB
+    fit = fit_cox(model41_sample(45, 2000))
+    xs = SeedSpec(46).generator().normal(0.0, 1.0, (2000, 1))
+    tracemalloc.start()
+    try:
+        predict_cox_mean(fit, xs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16e6
 
 
 def test_cross_model_slopes_cancel_uncensored():

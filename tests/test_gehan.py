@@ -1,8 +1,10 @@
+import tracemalloc
 from importlib import resources
 
 import numpy as np
 import pytest
 
+from aftmean import gehan, kernels
 from aftmean.distributions import CovariateLaw, ErrorLaw, SeedSpec, SubjectModel
 from aftmean.errors import DataError, GehanSolverError
 from aftmean.gehan import (
@@ -215,6 +217,130 @@ def test_solver_error_best_has_full_length_for_d2():
     with pytest.raises(GehanSolverError, match="flat toward \\+inf") as info:
         solve_gehan(DesignData(y, ev, x))
     assert info.value.best.shape == (2,)
+
+
+def _scan_slope(data):
+    """The full O(n_events * n) kink scan, the d = 1 reference."""
+    delta = data.event.astype(float)
+    return gehan._solve_coordinate(data.time, delta, data.covariates[:, 0])[0]
+
+
+def test_d1_line_search_matches_full_kink_scan(rng):
+    compared = 0
+    for _ in range(1000):
+        n = int(rng.integers(2, 61))
+        levels = (2, 3)[int(rng.integers(0, 2))]
+        x = rng.integers(0, levels, n).astype(float)
+        if rng.random() < 0.5:
+            x = rng.normal(0.0, 1.0, n)
+        y = 0.5 + x + rng.normal(0.0, 1.0, n)
+        if rng.random() < 0.5:
+            y = np.round(y, 1)
+        ev = rng.random(n) < rng.uniform(0.1, 0.5)  # heavy censoring
+        if not ev.any():
+            continue
+        data = DesignData(y, ev, x)
+        if rng.random() < 0.25:  # duplicated rows, as in a bootstrap resample
+            data = data.subset(rng.integers(0, n, n))
+            if not data.event.any():
+                continue
+        init = None if rng.random() < 0.5 else rng.normal(0.0, 2.0, 1)
+        try:
+            expected = _scan_slope(data)
+        except GehanSolverError as exc:
+            with pytest.raises(GehanSolverError) as info:
+                solve_gehan(data, init=init)
+            assert str(info.value) == str(exc)
+            np.testing.assert_array_equal(info.value.best, exc.best)
+            continue
+        if expected is None:
+            with pytest.raises(GehanSolverError, match="not identified"):
+                solve_gehan(data, init=init)
+            continue
+        # the same kink expression picks the same kink: bit-identical, which
+        # also pins residual near-ties (y on a 0.1 grid, integer x) to their kinks
+        assert solve_gehan(data, init=init)[0] == expected
+        compared += 1
+    assert compared > 500
+
+
+@pytest.mark.parametrize("cov", ["normal", "u11", "u22"])
+@pytest.mark.parametrize("cell", ["tau-1", "tauinf"])
+def test_d1_line_search_matches_scan_on_table2_draws(cov, cell):
+    cfg = resources.files("aftmean").joinpath("configs", f"table2_{cov}_{cell}_n2000.cfg")
+    scenario = parse_scenario_text(cfg.read_text())
+    y, ev, x = scenario.subject_model().sample(SeedSpec(scenario.seed, 0).generator(), scenario.n)
+    data = DesignData(y, ev, x)
+    beta, report = gehan._solve_with_report(data, None, 1e-6)
+    assert beta[0] == _scan_slope(data)
+    assert report.method == "bisection+local-scan"
+
+
+@pytest.mark.parametrize(
+    "y, ev, x, message",
+    [
+        # every event at the largest x: zero derivative toward -inf
+        ([0.0, 1.0], [1, 0], [1.0, 0.0], "unbounded direction: loss nonincreasing toward -inf"),
+        # every event at the smallest x: zero derivative toward +inf
+        ([0.0, 1.0, 2.0, 0.5], [1, 1, 0, 0], [0.0, 0.0, 1.0, 2.0],
+         "unbounded direction: loss flat toward +inf"),
+        # no informative pair has two covariate values: no kinks at all
+        ([0.0, 1.0, 2.0], [1, 1, 0], [2.0, 2.0, 2.0],
+         "covariate constant across all informative pairs; slope not identified"),
+    ],
+)
+def test_d1_unbounded_and_flat_cases_raise_as_the_scan_does(y, ev, x, message):
+    data = DesignData(np.array(y), np.array(ev), np.array(x)[:, None])
+    try:
+        assert _scan_slope(data) is None
+        best = None
+    except GehanSolverError as exc:
+        assert str(exc) == message
+        best = exc.best
+    with pytest.raises(GehanSolverError) as solved:
+        solve_gehan(data)
+    assert type(solved.value) is GehanSolverError
+    assert str(solved.value) == message
+    if best is None:
+        assert solved.value.best is None
+    else:
+        np.testing.assert_array_equal(solved.value.best, best)
+
+
+def test_d1_fit_enumerates_few_kinks_in_little_memory(monkeypatch):
+    # uncensored n = 2000: the full scan lists n_events * (n - 1) = 4M kinks
+    model = SubjectModel(
+        intercept=0.0,
+        slopes=(1.0,),
+        error=ErrorLaw.extreme_value_min(),
+        covariates=(CovariateLaw.normal(0.0, 1.0),),
+        censoring=None,
+    )
+    y, ev, x = model.sample(SeedSpec(7, 0).generator(), 2000)
+    data = DesignData(y, ev, x)
+    enumerated = []
+    profile = kernels.d1_pair_profile
+
+    def counted(*args):
+        out = profile(*args)
+        enumerated.append(out[0].size)
+        return out
+
+    monkeypatch.setattr(kernels, "d1_pair_profile", counted)
+    fit = fit_aft(data)
+    assert 0 < sum(enumerated) <= 0.01 * data.n_events() * data.n
+    # a bootstrap resample: duplicated rows tie at every slope but add no kinks
+    enumerated.clear()
+    solve_gehan(data.subset(SeedSpec(7, 1).generator().integers(0, 2000, 2000)), init=fit.slopes)
+    assert 0 < sum(enumerated) <= 0.01 * data.n_events() * data.n
+    monkeypatch.undo()
+    tracemalloc.start()
+    try:
+        fit_aft(data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16e6
 
 
 def test_solver_no_events_raises():
