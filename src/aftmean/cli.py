@@ -11,7 +11,7 @@ import argparse
 import csv
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from importlib import resources
 from pathlib import Path
 
@@ -32,33 +32,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_FIT = 4
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything one subcommand invocation needs."""
-
-    command: str
-    input_path: str | None
-    output_path: str | None
-    response: str | None
-    event: str | None
-    covariates: tuple[str, ...]
-    log_time: bool
-    mode: str | None  # None: simulate takes the scenario file's mode
-    epsilon: float | None
-    bootstrap: int
-    seed: int | None
-    threshold: float
-    scenario: str | None
-    reps_override: int | None
-
-    @property
-    def truncation(self) -> Truncation:
-        """The truncation rule that ``--mode`` and ``--epsilon`` select."""
-        if self.mode == "theoretical":
-            return Truncation.theoretical(self.epsilon)
-        return Truncation.max_observed()
 
 
 def load_csv(
@@ -116,43 +89,17 @@ def load_csv(
     return DesignData(np.asarray(times), np.asarray(events), np.asarray(xs))
 
 
-def save_design_csv(path: str, data: DesignData, response: str, event: str,
-                    covariates: tuple[str, ...]) -> None:
-    """Write a DesignData back to CSV (full-precision floats)."""
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow([response, event, *covariates])
-        for i in range(data.n):
-            writer.writerow(
-                [repr(float(data.time[i])), int(data.event[i])]
-                + [repr(float(v)) for v in data.covariates[i]]
-            )
+def _truncation(args) -> Truncation:
+    """The truncation rule that ``--mode`` and ``--epsilon`` select."""
+    if args.mode == "theoretical":
+        return Truncation.theoretical(args.epsilon)
+    return Truncation.max_observed()
 
 
-def _config_from(args) -> RunConfig:
-    covs = tuple(args.covariates.split(",")) if getattr(args, "covariates", None) else ()
-    return RunConfig(
-        command=args.command,
-        input_path=getattr(args, "input", None),
-        output_path=getattr(args, "output", None),
-        response=getattr(args, "response", None),
-        event=getattr(args, "event", None),
-        covariates=covs,
-        log_time=getattr(args, "log_time", False),
-        mode=args.mode,
-        epsilon=args.epsilon,
-        bootstrap=getattr(args, "boot", 0),
-        seed=args.seed,
-        threshold=getattr(args, "threshold", 0.15),
-        scenario=getattr(args, "scenario", None),
-        reps_override=getattr(args, "reps", None),
-    )
-
-
-def _load_design(cfg: RunConfig) -> DesignData:
-    if not cfg.covariates:
+def _load_design(args) -> DesignData:
+    if not args.covariates:
         raise ConfigError("at least one covariate column is required (--covariates)")
-    return load_csv(cfg.input_path, cfg.response, cfg.event, cfg.covariates, cfg.log_time)
+    return load_csv(args.input, args.response, args.event, args.covariates, args.log_time)
 
 
 def _km_curve_path(output: str) -> Path:
@@ -161,24 +108,24 @@ def _km_curve_path(output: str) -> Path:
     return out.with_name(out.stem + "_km" + suffix)
 
 
-def cmd_fit(cfg: RunConfig) -> int:
-    data = _load_design(cfg)
+def cmd_fit(args) -> int:
+    data = _load_design(args)
     fit = fit_aft(
         data,
-        truncation=cfg.truncation,
-        bootstrap=cfg.bootstrap,
-        seed=cfg.seed,
-        tail_threshold=cfg.threshold,
+        truncation=_truncation(args),
+        bootstrap=args.boot,
+        seed=args.seed,
+        tail_threshold=args.threshold,
     )
-    terms = ["intercept", *cfg.covariates]
+    terms = ["intercept", *args.covariates]
     estimates = [fit.intercept, *fit.slopes]
     ses = fit.bootstrap_se if fit.bootstrap_se is not None else [None] * len(terms)
-    with open(cfg.output_path, "w", newline="") as handle:
+    with open(args.output, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["term", "estimate", "bootstrap_se"])
         for term, est, se in zip(terms, estimates, ses):
             writer.writerow([term, repr(float(est)), "" if se is None else repr(float(se))])
-    km_path = _km_curve_path(cfg.output_path)
+    km_path = _km_curve_path(args.output)
     with open(km_path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["t", "cdf", "survival"])
@@ -191,15 +138,15 @@ def cmd_fit(cfg: RunConfig) -> int:
         f"residual KM tail {fit.tail.tail_value:.6g} -> {verdict} "
         f"(threshold {fit.tail.threshold:g})"
     )
-    print(f"wrote {cfg.output_path} and {km_path}")
+    print(f"wrote {args.output} and {km_path}")
     return EXIT_OK
 
 
-def cmd_predict_cv(cfg: RunConfig) -> int:
-    data = _load_design(cfg)
+def cmd_predict_cv(args) -> int:
+    data = _load_design(args)
     if data.n < 3:
         raise DataError("leave-one-out cross-validation needs at least 3 subjects")
-    truncation = cfg.truncation
+    truncation = _truncation(args)
     full = fit_aft(data, truncation=truncation)
     predictions = np.full(data.n, np.nan)
     failed = np.zeros(data.n, dtype=bool)
@@ -212,7 +159,7 @@ def cmd_predict_cv(cfg: RunConfig) -> int:
             predictions[i] = predict_aft(fold, data.covariates[i])
         except EstimationError:
             failed[i] = True
-    with open(cfg.output_path, "w", newline="") as handle:
+    with open(args.output, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["subject", "observed", "event", "predicted", "fold_failed"])
         for i in range(data.n):
@@ -231,7 +178,7 @@ def cmd_predict_cv(cfg: RunConfig) -> int:
         print(f"leave-one-out MSE over {int(ok_events.sum())} events: {mse:.6g}")
     if failed.any():
         print(f"{int(failed.sum())} fold(s) failed to fit")
-    print(f"wrote {cfg.output_path}")
+    print(f"wrote {args.output}")
     return EXIT_OK
 
 
@@ -246,14 +193,14 @@ def _scenario_text(name: str) -> str:
     raise ConfigError(f"scenario {name!r}: no such file and no bundled config")
 
 
-def cmd_simulate(cfg: RunConfig) -> int:
-    text = _scenario_text(cfg.scenario)
+def cmd_simulate(args) -> int:
+    text = _scenario_text(args.scenario)
     scenario = parse_scenario_text(
         text,
-        reps_override=cfg.reps_override,
-        seed_override=cfg.seed,
-        mode_override=cfg.mode,
-        epsilon_override=cfg.epsilon,
+        reps_override=args.reps,
+        seed_override=args.seed,
+        mode_override=args.mode,
+        epsilon_override=args.epsilon,
     )
     if scenario.study == "estimation":
         table = run_estimation_scenario(scenario)
@@ -265,16 +212,16 @@ def cmd_simulate(cfg: RunConfig) -> int:
             baseline = run_prediction_scenario(replace(scenario, censoring=None))
             table = with_prediction_ratios(table, baseline)
     csv_text = summary_csv_text(table)
-    with open(cfg.output_path, "w", newline="") as handle:
+    with open(args.output, "w", newline="") as handle:
         handle.write(csv_text)
     sys.stdout.write(csv_text)
-    print(f"wrote {cfg.output_path}")
+    print(f"wrote {args.output}")
     return EXIT_OK
 
 
-def cmd_km_check(cfg: RunConfig) -> int:
-    data = _load_design(cfg)
-    fit = fit_aft(data, truncation=cfg.truncation, tail_threshold=cfg.threshold)
+def cmd_km_check(args) -> int:
+    data = _load_design(args)
+    fit = fit_aft(data, truncation=_truncation(args), tail_threshold=args.threshold)
     verdict = "adequate" if fit.tail.adequate else "NOT adequate"
     print(
         f"residual KM tail value {fit.tail.tail_value:.6g}: intercept estimation "
@@ -286,11 +233,16 @@ def cmd_km_check(cfg: RunConfig) -> int:
 _SEED_DEFAULT = 20260810
 
 
+def _columns(text: str) -> tuple[str, ...]:
+    return tuple(text.split(",")) if text else ()
+
+
 def _add_model_flags(sub):
     sub.add_argument("--input", required=True, help="input CSV path")
     sub.add_argument("--response", required=True, help="response (time) column")
     sub.add_argument("--event", required=True, help="event flag column (1=event, 0=censored)")
-    sub.add_argument("--covariates", required=True, help="comma-separated covariate columns")
+    sub.add_argument("--covariates", required=True, type=_columns,
+                     help="comma-separated covariate columns")
     sub.add_argument("--log-time", dest="log_time", action="store_true",
                      help="fit on the natural log of the response")
 
@@ -356,8 +308,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code else EXIT_OK
     try:
-        cfg = _config_from(args)
-        return _HANDLERS[args.command](cfg)
+        return _HANDLERS[args.command](args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

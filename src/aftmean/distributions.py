@@ -38,12 +38,10 @@ class ErrorLaw:
         return cls("normal", (float(sigma),))
 
     @classmethod
-    def gumbel_max(cls, sigma: float, mu: float | None = None) -> "ErrorLaw":
+    def gumbel_max(cls, sigma: float) -> "ErrorLaw":
         if sigma <= 0:
             raise ConfigError(f"gumbel error needs sigma > 0, got {sigma}")
-        if mu is None:
-            mu = -float(sigma) * EULER_GAMMA
-        return cls("gumbel_max", (float(mu), float(sigma)))
+        return cls("gumbel_max", (-float(sigma) * EULER_GAMMA, float(sigma)))
 
     @classmethod
     def laplace(cls, scale: float) -> "ErrorLaw":
@@ -145,8 +143,7 @@ class CensoringLaw:
     """Censoring time law: a uniform base truncated at ``tau``.
 
     Draws are ``min(Uniform(low, high), tau)``; ``tau = inf`` reduces to the
-    base law.  :meth:`none` yields infinite censoring times (complete data),
-    which is how the no-censoring simulation rows are expressed.
+    base law.  Complete data has no censoring law at all (``None``).
     """
 
     low: float
@@ -154,7 +151,7 @@ class CensoringLaw:
     tau: float
 
     def __post_init__(self):
-        if math.isfinite(self.low) and not self.low < self.high:
+        if not self.low < self.high:
             raise ConfigError(
                 f"censoring base needs low < high, got ({self.low}, {self.high})"
             )
@@ -163,17 +160,7 @@ class CensoringLaw:
     def uniform(cls, low: float, high: float, tau: float = math.inf) -> "CensoringLaw":
         return cls(float(low), float(high), float(tau))
 
-    @classmethod
-    def none(cls) -> "CensoringLaw":
-        return cls(math.inf, math.inf, math.inf)
-
-    @property
-    def is_none(self) -> bool:
-        return math.isinf(self.low)
-
     def sample(self, rng: np.random.Generator, size=None):
-        if self.is_none:
-            return math.inf if size is None else np.full(size, math.inf)
         draw = rng.uniform(self.low, self.high, size)
         return np.minimum(draw, self.tau)
 
@@ -223,7 +210,7 @@ class SubjectModel:
         """Draw ``size`` subjects; returns (y, event, x) arrays."""
         x = np.column_stack([law.sample(rng, size) for law in self.covariates])
         t = self.shift + x @ np.asarray(self.slopes) + self.error.sample(rng, size)
-        if self.censoring is None or self.censoring.is_none:
+        if self.censoring is None:
             return t, np.ones(size, dtype=bool), x
         c = self.censoring.sample(rng, size)
         return np.minimum(t, c), t <= c, x

@@ -33,6 +33,8 @@ from .survfit import (
 )
 
 _SLACK_REL = 1e-10  # relative slack when locating zero crossings of the profile
+_TOL = 1e-6  # d > 1: Nelder-Mead xatol, and the step that ends coordinate descent
+_SWEEPS = 8  # d > 1: most coordinate-descent sweeps after Nelder-Mead
 
 
 @dataclass(frozen=True)
@@ -88,7 +90,9 @@ class SolverReport:
 
     The score here is evaluated with machine-precision near-tie grouping
     (see ``_tie_safe_score``); ``score_ratio`` is the max over coordinates
-    of |score| divided by the acceptance bound (coordinate range / n).
+    of |score| divided by the acceptance bound (coordinate range / n).  The
+    bound is enforced for d > 1 only: the d = 1 slope is the exact minimum,
+    whose score on tied data may exceed it, and is reported as is.
     """
 
     loss: float
@@ -353,7 +357,7 @@ def _tie_safe_score(beta, data: DesignData) -> np.ndarray:
     return kernels.gehan_score_sorted(es, ds, xs) / data.n**2
 
 
-def _solve_with_report(data: DesignData, init, tol) -> tuple[np.ndarray, SolverReport]:
+def _solve_with_report(data: DesignData, init) -> tuple[np.ndarray, SolverReport]:
     if data.n_events() == 0:
         raise GehanSolverError("no events: the rank objective is identically zero")
     delta = data.event.astype(np.float64)
@@ -397,47 +401,26 @@ def _solve_with_report(data: DesignData, init, tol) -> tuple[np.ndarray, SolverR
                 loss,
                 start,
                 method="Nelder-Mead",
-                options=dict(xatol=tol, fatol=1e-12, maxiter=200 * d, maxfev=200 * d),
+                options=dict(xatol=_TOL, fatol=1e-12, maxiter=200 * d, maxfev=200 * d),
             )
             iterations += nm.nit
             candidates.append(nm.x)
         best = min(candidates, key=loss)
-        best, sweeps = _coordinate_descent(y, delta, x, best.copy(), tol, max_sweeps=8)
+        beta, sweeps = _coordinate_descent(y, delta, x, best.copy())
         iterations += sweeps
-        beta = best
         method = "nelder-mead+coordinate"
 
-    def check(beta_hat):
-        score = _tie_safe_score(beta_hat, data)
-        bounds = _score_bounds(data)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratios = np.where(bounds > 0, np.abs(score) / bounds, np.abs(score) > 1e-300)
-        return float(np.max(np.abs(score))), float(np.max(ratios))
-
-    score_norm, ratio = check(beta)
-    if ratio > 1.0 + 1e-9 and d > 1:
-        # escalate: full coordinate descent from every start, then re-polish
-        for start in starts:
-            cand, sweeps = _coordinate_descent(y, delta, x, start.copy(), tol)
-            iterations += sweeps
-            candidates.append(cand)
-        best = min(candidates + [beta], key=loss)
-        nm = minimize(
-            loss,
-            best,
-            method="Nelder-Mead",
-            options=dict(xatol=tol * 1e-2, fatol=1e-14, maxiter=400 * d, maxfev=400 * d),
-        )
-        iterations += nm.nit
-        best = nm.x if nm.fun < loss(best) else best
-        beta, sweeps = _coordinate_descent(y, delta, x, np.asarray(best).copy(), tol)
-        iterations += sweeps
-        score_norm, ratio = check(beta)
-
-    converged = ratio <= 1.0 + 1e-9
+    score = _tie_safe_score(beta, data)
+    bounds = _score_bounds(data)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratios = np.where(bounds > 0, np.abs(score) / bounds, np.abs(score) > 1e-300)
+    ratio = float(np.max(ratios))
+    # The d = 1 slope is the exact profile minimum; on tied data its score can
+    # still exceed the bound, so only the d > 1 search is held to it.
+    converged = d == 1 or ratio <= 1.0 + 1e-9
     report = SolverReport(
         loss=gehan_loss(beta, data),
-        score_norm=score_norm,
+        score_norm=float(np.max(np.abs(score))),
         score_ratio=ratio,
         iterations=int(iterations),
         converged=converged,
@@ -451,9 +434,9 @@ def _solve_with_report(data: DesignData, init, tol) -> tuple[np.ndarray, SolverR
     return beta, report
 
 
-def _coordinate_descent(y, delta, x, beta, tol, max_sweeps=20):
+def _coordinate_descent(y, delta, x, beta):
     d = beta.shape[0]
-    for sweep in range(max_sweeps):
+    for sweep in range(_SWEEPS):
         shift = 0.0
         for k in range(d):
             others = np.delete(np.arange(d), k)
@@ -469,12 +452,12 @@ def _coordinate_descent(y, delta, x, beta, tol, max_sweeps=20):
                 continue  # flat coordinate: leave as-is
             shift = max(shift, abs(bk - beta[k]))
             beta[k] = bk
-        if shift <= tol:
+        if shift <= _TOL:
             break
     return beta, sweep + 1
 
 
-def solve_gehan(data: DesignData, init=None, tol: float = 1e-6) -> np.ndarray:
+def solve_gehan(data: DesignData, init=None) -> np.ndarray:
     """Slope estimate minimizing the Gehan rank objective.
 
     ``d = 1`` is solved exactly in O(n log n) time and O(n) memory: bisection
@@ -485,11 +468,11 @@ def solve_gehan(data: DesignData, init=None, tol: float = 1e-6) -> np.ndarray:
     every kink gives.  A flat or unbounded profile is left to that full scan,
     which raises.  Higher dimensions run deterministic multi-start
     Nelder-Mead with a coordinate-descent polish, each coordinate a full kink
-    scan.  The result must drive the estimating function below the
+    scan; that result must drive the estimating function below the
     discreteness-scale bound (coordinate range / n) or a
     :class:`GehanSolverError` is raised carrying the best iterate.
     """
-    beta, _ = _solve_with_report(data, init, tol)
+    beta, _ = _solve_with_report(data, init)
     return beta
 
 
@@ -498,22 +481,19 @@ def fit_aft(
     *,
     truncation: Truncation = Truncation.max_observed(),
     init=None,
-    tol: float = 1e-6,
     bootstrap: int = 0,
     seed: int = 0,
     tail_threshold: float = 0.15,
 ) -> AftFit:
     """Full pipeline: rank-based slopes, then KM-mean intercept on the residuals."""
-    beta, report = _solve_with_report(data, init, tol)
+    beta, report = _solve_with_report(data, init)
     sample = ResidualSample.from_arrays(residuals(data, beta), data.event)
     dist = km_fit(sample, truncation)
     alpha = mean_of(dist)
     tail = tail_diagnostic(dist, tail_threshold)
     se = None
     if bootstrap:
-        se = bootstrap_se(
-            data, bootstrap, seed, init=beta, truncation=truncation, tol=tol
-        )
+        se = bootstrap_se(data, bootstrap, seed, init=beta, truncation=truncation)
     return AftFit(alpha, beta, se, dist, tail, report)
 
 
@@ -524,7 +504,6 @@ def bootstrap_se(
     *,
     init=None,
     truncation: Truncation = Truncation.max_observed(),
-    tol: float = 1e-6,
 ) -> np.ndarray:
     """Nonparametric bootstrap standard errors for (intercept, slopes).
 
@@ -534,7 +513,7 @@ def bootstrap_se(
     if replicates < 2:
         raise GehanSolverError("bootstrap needs at least 2 replicates")
     if init is None:
-        init, _ = _solve_with_report(data, None, tol)
+        init, _ = _solve_with_report(data, None)
     estimates = []
     failures = 0
     for b in range(replicates):
@@ -542,7 +521,7 @@ def bootstrap_se(
         idx = rng.integers(0, data.n, data.n)
         sub = data.subset(idx)
         try:
-            beta, _ = _solve_with_report(sub, init, tol)
+            beta, _ = _solve_with_report(sub, init)
             sample = ResidualSample.from_arrays(residuals(sub, beta), sub.event)
             alpha = mean_of(km_fit(sample, truncation))
         except EstimationError:

@@ -120,7 +120,7 @@ class Scenario:
 
     @property
     def uncensored(self) -> bool:
-        return self.censoring is None or self.censoring.is_none
+        return self.censoring is None
 
 
 @dataclass(frozen=True)
@@ -368,36 +368,30 @@ def parse_scenario_text(text: str, *, reps_override: int | None = None,
 
     tau_text = entries.get("tau", "inf").lower()
     tau = None if tau_text == "none" else float(tau_text)
+    cens = entries.get("cens", "").lower()
+    base = {}  # an absent ``cens`` keeps the study's default base
+    if cens not in ("", "none"):
+        law = _parse_law(cens, _COVARIATE_FACTORIES, "censoring")
+        if law.kind != "uniform":
+            raise ConfigError("censoring base must be a uniform law")
+        base = {"censor_base": law.params}
 
     if study == "estimation":
         error = parse_error_law(need("error"))
         x2 = parse_covariate_law(need("x2"))
         x1 = parse_covariate_law(entries["x1"]) if "x1" in entries else None
-        if tau is None:
-            tau = math.inf
-        base = (0.0, 5.0)
-        if "cens" in entries and entries["cens"].lower() != "none":
-            law = _parse_law(entries["cens"], _COVARIATE_FACTORIES, "censoring")
-            if law.kind != "uniform":
-                raise ConfigError("censoring base must be a uniform law")
-            base = law.params
-        return Scenario.estimation(
-            error, x2, tau, n, reps, seed, x1=x1, censor_base=base, truncation=truncation
+        scenario = Scenario.estimation(
+            error, x2, math.inf if tau is None else tau, n, reps, seed, x1=x1,
+            truncation=truncation, **base,
         )
-    if study == "prediction":
+    elif study == "prediction":
         x = parse_covariate_law(need("x"))
-        base = (-3.0, 3.0)
-        if entries.get("cens", "").lower() == "none":
-            tau = None
-        elif "cens" in entries:
-            law = _parse_law(entries["cens"], _COVARIATE_FACTORIES, "censoring")
-            if law.kind != "uniform":
-                raise ConfigError("censoring base must be a uniform law")
-            base = law.params
-        return Scenario.prediction(
-            x, tau, n, reps, seed, censor_base=base, truncation=truncation
-        )
-    raise ConfigError(f"unknown study {study!r}")
+        scenario = Scenario.prediction(x, tau, n, reps, seed, truncation=truncation, **base)
+    else:
+        raise ConfigError(f"unknown study {study!r}")
+    if cens == "none":
+        scenario = replace(scenario, censoring=None)
+    return scenario
 
 
 def _fmt(v) -> str:

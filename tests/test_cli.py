@@ -3,6 +3,7 @@ import csv
 import numpy as np
 import pytest
 
+from aftmean import gehan
 from aftmean.cli import (
     EXIT_CONFIG,
     EXIT_DATA,
@@ -10,7 +11,6 @@ from aftmean.cli import (
     EXIT_OK,
     load_csv,
     main,
-    save_design_csv,
 )
 from aftmean.errors import DataError
 from aftmean.gehan import DesignData
@@ -52,7 +52,11 @@ def test_load_csv_roundtrip(tmp_path, rng):
     y, ev, x = random_censored_sample(rng, 25, d=2)
     data = DesignData(y, ev, x)
     path = tmp_path / "d.csv"
-    save_design_csv(str(path), data, "t", "e", ("a", "b"))
+    rows = [
+        [repr(float(t)), int(e), repr(float(a)), repr(float(b))]
+        for t, e, (a, b) in zip(y, ev, x)
+    ]
+    write_csv(path, ["t", "e", "a", "b"], rows)
     back = load_csv(str(path), "t", "e", ("a", "b"))
     np.testing.assert_array_equal(back.time, data.time)
     np.testing.assert_array_equal(back.event, data.event)
@@ -138,6 +142,37 @@ def test_cmd_fit_with_bootstrap(tmp_path, linear_csv):
     rows = list(csv.reader(out.open()))
     ses = [float(r[2]) for r in rows[1:]]
     assert all(np.isfinite(ses))
+
+
+def test_cmd_fit_lattice_d1_bootstrap_accepts_exact_minima(tmp_path, monkeypatch):
+    # x in {0, 1, 2} and whole-day times 2..16: residual ties everywhere, so
+    # the exact d = 1 minimum can leave the score above the n**-1 bound
+    rng = np.random.default_rng(0)
+    x = rng.integers(0, 3, 300)
+    t = np.clip(np.round(np.exp(1.6 + 0.3 * x + rng.normal(0.0, 0.5, 300))), 2, 16)
+    c = rng.integers(2, 17, 300)
+    path = tmp_path / "lattice.csv"
+    rows = [[int(min(a, b)), int(a <= b), int(v)] for a, b, v in zip(t, c, x)]
+    write_csv(path, ["t", "e", "x"], rows)
+    solved = []
+    solve = gehan._solve_with_report
+
+    def recorded(data, *args):
+        beta, report = solve(data, *args)
+        solved.append((data, beta[0]))
+        return beta, report
+
+    monkeypatch.setattr(gehan, "_solve_with_report", recorded)
+    rc = main(["fit", "--input", str(path), "--response", "t", "--event", "e",
+               "--covariates", "x", "--log-time", "--boot", "50",
+               "--output", str(tmp_path / "fit.csv")])
+    assert rc == EXIT_OK
+    assert len(solved) == 51  # the full data, then every resample
+    for data, slope in solved:
+        exact, _ = gehan._solve_coordinate(
+            data.time, data.event.astype(float), data.covariates[:, 0]
+        )
+        assert slope == exact
 
 
 def test_cmd_fit_all_censored_exits_fit_error(tmp_path, capsys):

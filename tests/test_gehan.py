@@ -219,6 +219,28 @@ def test_solver_error_best_has_full_length_for_d2():
     assert info.value.best.shape == (2,)
 
 
+def test_d2_fit_missing_the_score_bound_raises_after_one_search_per_start(monkeypatch):
+    # tied lattice: x in {0, 1, 2}^2, whole-number times, no signal
+    rng = np.random.default_rng(0)
+    x = rng.integers(0, 3, (300, 2)).astype(float)
+    t = rng.integers(2, 17, 300).astype(float)
+    c = rng.integers(2, 17, 300)
+    data = DesignData(np.minimum(t, c), t <= c, x)
+    assert gehan._ols_event_slopes(data) is not None  # so four starts
+    calls = []
+    search = gehan.minimize
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(gehan, "minimize", counted)
+    with pytest.raises(GehanSolverError, match="acceptance bound") as info:
+        fit_aft(data)
+    assert len(calls) == 4
+    assert info.value.best.shape == (2,)
+
+
 def _scan_slope(data):
     """The full O(n_events * n) kink scan, the d = 1 reference."""
     delta = data.event.astype(float)
@@ -271,7 +293,7 @@ def test_d1_line_search_matches_scan_on_table2_draws(cov, cell):
     scenario = parse_scenario_text(cfg.read_text())
     y, ev, x = scenario.subject_model().sample(SeedSpec(scenario.seed, 0).generator(), scenario.n)
     data = DesignData(y, ev, x)
-    beta, report = gehan._solve_with_report(data, None, 1e-6)
+    beta, report = gehan._solve_with_report(data, None)
     assert beta[0] == _scan_slope(data)
     assert report.method == "bisection+local-scan"
 

@@ -235,6 +235,16 @@ def test_parse_prediction_scenario_text_and_overrides():
     assert sc.error.kind == "extreme_value_min"
 
 
+def test_estimation_scenario_cens_none_is_uncensored():
+    text = (
+        "study = estimation\nerror = normal(0.5)\nx2 = normal(0,1)\ncens = none\n"
+        "tau = inf\nn = 200\nreps = 2\nseed = 5\n"
+    )
+    sc = parse_scenario_text(text)
+    assert sc.censoring is None
+    assert run_estimation_scenario(sc).censoring_rate == 0.0
+
+
 def test_parse_rejects_unknown_keys_and_bad_laws():
     with pytest.raises(ConfigError):
         parse_scenario_text("study = estimation\nbogus = 1\n")
