@@ -71,6 +71,8 @@ def load_csv(
     for row_no, values in enumerate(rows[1:], start=2):
         if not any(v.strip() for v in values):
             continue
+        if len(values) < len(header):
+            raise DataError(f"{path}: row {row_no} has {len(values)} of {len(header)} cells")
         t = cell(values, row_no, response)
         e = cell(values, row_no, event)
         if e not in (0.0, 1.0):
@@ -237,6 +239,13 @@ def _columns(text: str) -> tuple[str, ...]:
     return tuple(text.split(",")) if text else ()
 
 
+def _boot_count(text: str) -> int:
+    count = int(text)
+    if count == 1 or count < 0:
+        raise argparse.ArgumentTypeError(f"{count}: use 0 (no bootstrap) or at least 2")
+    return count
+
+
 def _add_model_flags(sub):
     sub.add_argument("--input", required=True, help="input CSV path")
     sub.add_argument("--response", required=True, help="response (time) column")
@@ -266,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_model_flags(fit)
     _add_common_flags(fit)
     fit.add_argument("--output", required=True, help="coefficient CSV output path")
-    fit.add_argument("--boot", type=int, default=0, help="bootstrap replicates for SEs")
+    fit.add_argument("--boot", type=_boot_count, default=0, help="bootstrap replicates for SEs")
     fit.add_argument("--threshold", type=float, default=0.15,
                      help="tail-adequacy threshold")
 

@@ -366,8 +366,9 @@ def parse_scenario_text(text: str, *, reps_override: int | None = None,
     else:
         raise ConfigError(f"unknown truncation mode {mode!r}")
 
-    tau_text = entries.get("tau", "inf").lower()
-    tau = None if tau_text == "none" else float(tau_text)
+    if entries.get("tau", "").lower() == "none":
+        raise ConfigError("tau = none is not accepted; write cens = none for uncensored data")
+    tau = float(entries.get("tau", "inf"))
     cens = entries.get("cens", "").lower()
     base = {}  # an absent ``cens`` keeps the study's default base
     if cens not in ("", "none"):
@@ -381,7 +382,7 @@ def parse_scenario_text(text: str, *, reps_override: int | None = None,
         x2 = parse_covariate_law(need("x2"))
         x1 = parse_covariate_law(entries["x1"]) if "x1" in entries else None
         scenario = Scenario.estimation(
-            error, x2, math.inf if tau is None else tau, n, reps, seed, x1=x1,
+            error, x2, tau, n, reps, seed, x1=x1,
             truncation=truncation, **base,
         )
     elif study == "prediction":

@@ -95,6 +95,15 @@ def test_load_csv_errors(tmp_path):
         load_csv(str(path), "t", "e", ("x",), log_time=True)
 
 
+def test_cmd_fit_short_row_exits_data_error(tmp_path, capsys):
+    path = tmp_path / "short.csv"
+    path.write_text("t,e,x\n1.0,1,0.5\n2.0,0\n")
+    code = main(["fit", "--input", str(path), "--response", "t", "--event", "e",
+                 "--covariates", "x", "--output", str(tmp_path / "o.csv")])
+    assert code == EXIT_DATA
+    assert "row 3 has 2 of 3 cells" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------- fit
 
 
@@ -142,6 +151,15 @@ def test_cmd_fit_with_bootstrap(tmp_path, linear_csv):
     rows = list(csv.reader(out.open()))
     ses = [float(r[2]) for r in rows[1:]]
     assert all(np.isfinite(ses))
+
+
+@pytest.mark.parametrize("boot", ["1", "-3"])
+def test_cmd_fit_rejects_a_bootstrap_count_below_two_before_fitting(tmp_path, linear_csv, boot):
+    out = tmp_path / "fit.csv"
+    code = main(["fit", "--input", linear_csv, "--response", "time", "--event", "status",
+                 "--covariates", "x1,x2", "--boot", boot, "--output", str(out)])
+    assert code == EXIT_CONFIG
+    assert not out.exists()
 
 
 def test_cmd_fit_lattice_d1_bootstrap_accepts_exact_minima(tmp_path, monkeypatch):

@@ -245,6 +245,17 @@ def test_estimation_scenario_cens_none_is_uncensored():
     assert run_estimation_scenario(sc).censoring_rate == 0.0
 
 
+@pytest.mark.parametrize(
+    "study, laws",
+    [("estimation", "error = normal(0.5)\nx2 = normal(0,1)\n"), ("prediction", "x = normal(0,1)\n")],
+)
+def test_tau_none_is_rejected_in_both_studies(study, laws):
+    with pytest.raises(ConfigError, match="cens = none"):
+        parse_scenario_text(f"study = {study}\n{laws}tau = none\nn = 20\nreps = 1\nseed = 1\n")
+    # the library keeps its own spelling of an uncensored prediction scenario
+    assert Scenario.prediction(CovariateLaw.normal(0.0, 1.0), None, 20, 1, 1).uncensored
+
+
 def test_parse_rejects_unknown_keys_and_bad_laws():
     with pytest.raises(ConfigError):
         parse_scenario_text("study = estimation\nbogus = 1\n")
