@@ -16,8 +16,9 @@ from . import kernels
 from .errors import CoxFitError
 from .gehan import DesignData
 
-# Test rows per block in predict_cox_mean: bounds its matrices to
-# PREDICT_BLOCK * (baseline jump points) entries.
+# Test rows per block in predict_cox_mean: each block of survival values
+# exp(-Lambda_k * e^eta) is written into one PREDICT_BLOCK x (baseline jump
+# points) buffer, allocated once per call and reused by every block.
 PREDICT_BLOCK = 128
 
 
@@ -153,9 +154,10 @@ def breslow(beta, data: DesignData) -> BaselineHazard:
 def predict_cox_mean(fit: CoxFit, xnew) -> float | np.ndarray:
     """Mean of 1 - exp(-Lambda0(t) * exp(x'beta)), forced to one at t_max.
 
-    The integral is the exact finite sum over the baseline jump points plus
-    the leftover mass placed at the last observed time.  Rows are computed
-    ``PREDICT_BLOCK`` at a time, so memory stays O(block * jump points).
+    Summed by parts over the baseline jump points t_1 < ... < t_K below
+    t_max: mean = t_1 + sum_k (t_{k+1} - t_k) * exp(-Lambda0(t_k) * exp(x'beta)),
+    with t_{K+1} = t_max.  Rows are computed ``PREDICT_BLOCK`` at a time in
+    one reused buffer, so memory stays O(block * jump points).
     """
     xnew = np.asarray(xnew, dtype=np.float64)
     single = xnew.ndim == 1
@@ -167,6 +169,8 @@ def predict_cox_mean(fit: CoxFit, xnew) -> float | np.ndarray:
     if t_ev.size == 0:
         out = np.full(xmat.shape[0], fit.t_max)
         return float(out[0]) if single else out
+    dt = np.diff(t_ev, append=fit.t_max)
+    neg_r = -np.exp(eta)
     n_rows = xmat.shape[0]
     starts = list(range(0, n_rows, PREDICT_BLOCK))
     if len(starts) > 1 and n_rows - starts[-1] == 1:
@@ -174,11 +178,12 @@ def predict_cox_mean(fit: CoxFit, xnew) -> float | np.ndarray:
         # matrix-vector product of a taller block: a lone last row joins the
         # block before it, so every row sums as in one dense product
         starts.pop()
+    stops = starts[1:] + [n_rows]
+    buf = np.empty((max(b - a for a, b in zip(starts, stops)), lam.size))
     mean = np.empty(n_rows)
-    for start, stop in zip(starts, starts[1:] + [n_rows]):
-        rows = slice(start, stop)
-        z = lam[None, :] * np.exp(eta[rows])[:, None]
-        cdf = -np.expm1(-z)
-        masses = np.diff(np.concatenate([np.zeros((cdf.shape[0], 1)), cdf], axis=1), axis=1)
-        mean[rows] = masses @ t_ev + fit.t_max * (1.0 - cdf[:, -1])
+    for start, stop in zip(starts, stops):
+        surv = buf[: stop - start]
+        np.multiply(neg_r[start:stop, None], lam[None, :], out=surv)
+        np.exp(surv, out=surv)
+        mean[start:stop] = t_ev[0] + surv @ dt
     return float(mean[0]) if single else mean

@@ -126,8 +126,10 @@ def _sorted_parts(data: DesignData, beta):
 
 def gehan_loss(beta, data: DesignData) -> float:
     """Convex rank objective at ``beta``."""
-    es, ds, _ = _sorted_parts(data, beta)
-    return kernels.gehan_loss_sorted(es, ds) / data.n**2
+    eps = residuals(data, beta)
+    order = np.argsort(eps, kind="stable")
+    ds = data.event[order].astype(np.float64)
+    return kernels.gehan_loss_sorted(eps[order], ds) / data.n**2
 
 
 def gehan_score(beta, data: DesignData) -> np.ndarray:

@@ -291,32 +291,32 @@ _COVARIATE_FACTORIES = {
 }
 
 
-def _parse_law(text: str, factories, what: str):
+def _number(key: str, text: str, kind=float):
+    try:
+        return kind(text)
+    except ValueError:
+        noun = "an integer" if kind is int else "a number"
+        raise ConfigError(f"scenario key {key!r}: {text.strip()!r} is not {noun}") from None
+
+
+def _parse_law(key: str, text: str, factories):
     text = text.strip()
     if "(" in text:
         name, _, rest = text.partition("(")
         rest = rest.rstrip()
         if not rest.endswith(")"):
-            raise ConfigError(f"malformed {what} law {text!r}")
+            raise ConfigError(f"scenario key {key!r}: malformed law {text!r}")
         args = rest[:-1].strip()
-        params = tuple(float(v) for v in args.split(",")) if args else ()
+        params = tuple(_number(key, v) for v in args.split(",")) if args else ()
     else:
         name, params = text, ()
     name = name.strip().lower()
     if name not in factories:
-        raise ConfigError(f"unknown {what} law {name!r}")
+        raise ConfigError(f"scenario key {key!r}: unknown law {name!r}")
     try:
         return factories[name](params)
     except TypeError as exc:
-        raise ConfigError(f"bad parameters for {what} law {text!r}") from exc
-
-
-def parse_error_law(text: str) -> ErrorLaw:
-    return _parse_law(text, _ERROR_FACTORIES, "error")
-
-
-def parse_covariate_law(text: str) -> CovariateLaw:
-    return _parse_law(text, _COVARIATE_FACTORIES, "covariate")
+        raise ConfigError(f"scenario key {key!r}: bad parameters for law {text!r}") from exc
 
 
 _SCENARIO_KEYS = {
@@ -352,41 +352,41 @@ def parse_scenario_text(text: str, *, reps_override: int | None = None,
         return entries[key]
 
     study = need("study").lower()
-    n = int(need("n"))
-    reps = reps_override if reps_override is not None else int(need("reps"))
-    seed = seed_override if seed_override is not None else int(need("seed"))
+    n = _number("n", need("n"), int)
+    reps = reps_override if reps_override is not None else _number("reps", need("reps"), int)
+    seed = seed_override if seed_override is not None else _number("seed", need("seed"), int)
     mode = (mode_override or entries.get("mode", "maxobs")).lower()
     if mode == "maxobs":
         truncation = Truncation.max_observed()
     elif mode == "theoretical":
         epsilon = epsilon_override
         if epsilon is None:
-            epsilon = float(entries.get("epsilon", 0.125))
+            epsilon = _number("epsilon", entries.get("epsilon", "0.125"))
         truncation = Truncation.theoretical(epsilon)
     else:
         raise ConfigError(f"unknown truncation mode {mode!r}")
 
     if entries.get("tau", "").lower() == "none":
         raise ConfigError("tau = none is not accepted; write cens = none for uncensored data")
-    tau = float(entries.get("tau", "inf"))
+    tau = _number("tau", entries.get("tau", "inf"))
     cens = entries.get("cens", "").lower()
     base = {}  # an absent ``cens`` keeps the study's default base
     if cens not in ("", "none"):
-        law = _parse_law(cens, _COVARIATE_FACTORIES, "censoring")
+        law = _parse_law("cens", cens, _COVARIATE_FACTORIES)
         if law.kind != "uniform":
             raise ConfigError("censoring base must be a uniform law")
         base = {"censor_base": law.params}
 
     if study == "estimation":
-        error = parse_error_law(need("error"))
-        x2 = parse_covariate_law(need("x2"))
-        x1 = parse_covariate_law(entries["x1"]) if "x1" in entries else None
+        error = _parse_law("error", need("error"), _ERROR_FACTORIES)
+        x2 = _parse_law("x2", need("x2"), _COVARIATE_FACTORIES)
+        x1 = _parse_law("x1", entries["x1"], _COVARIATE_FACTORIES) if "x1" in entries else None
         scenario = Scenario.estimation(
             error, x2, tau, n, reps, seed, x1=x1,
             truncation=truncation, **base,
         )
     elif study == "prediction":
-        x = parse_covariate_law(need("x"))
+        x = _parse_law("x", need("x"), _COVARIATE_FACTORIES)
         scenario = Scenario.prediction(x, tau, n, reps, seed, truncation=truncation, **base)
     else:
         raise ConfigError(f"unknown study {study!r}")

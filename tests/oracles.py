@@ -5,6 +5,8 @@ direct products, grid scans) and deliberately shares no code with the
 library paths it checks.
 """
 
+import math
+
 import numpy as np
 
 
@@ -149,7 +151,23 @@ def predict_cox_mean_dense(fit, xnew):
     lam = fit.baseline.cumhaz[keep]
     if t_ev.size == 0:
         return np.full(xmat.shape[0], fit.t_max)
-    z = lam[None, :] * np.exp(eta)[:, None]
-    cdf = -np.expm1(-z)
-    masses = np.diff(np.concatenate([np.zeros((xmat.shape[0], 1)), cdf], axis=1), axis=1)
-    return masses @ t_ev + fit.t_max * (1.0 - cdf[:, -1])
+    surv = np.exp(-np.exp(eta)[:, None] * lam[None, :])
+    return t_ev[0] + surv @ np.diff(t_ev, append=fit.t_max)
+
+
+def predict_cox_mean_fsum(fit, row):
+    """Cox mean for one covariate row, summed by parts in pure Python.
+
+    t_1 + sum_k (t_{k+1} - t_k) * exp(-Lambda_k * exp(eta)) with
+    t_{K+1} = t_max: each term from the math module, their sum correctly
+    rounded by fsum.
+    """
+    eta = sum(float(a) * float(b) for a, b in zip(row, fit.slopes))
+    r = math.exp(min(max(eta, -700.0), 700.0))
+    pts = [(float(t), float(c)) for t, c in zip(fit.baseline.times, fit.baseline.cumhaz)
+           if t < fit.t_max]
+    if not pts:
+        return float(fit.t_max)
+    ends = [t for t, _ in pts[1:]] + [float(fit.t_max)]
+    terms = [(end - t) * math.exp(-c * r) for (t, c), end in zip(pts, ends)]
+    return math.fsum([pts[0][0]] + terms)

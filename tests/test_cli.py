@@ -406,6 +406,27 @@ def test_cmd_simulate_out_of_range_epsilon_aborts_only_when_used(tmp_path):
     assert _simulate_csv(keyed, out, "--epsilon", "0.5")[0] == EXIT_CONFIG
 
 
+@pytest.mark.parametrize(
+    "old, new, key, value",
+    [
+        ("tau = 4", "tau = four", "tau", "four"),
+        ("x2 = normal(0,1)", "x2 = normal(0,abc)", "x2", "abc"),
+        ("n = 50", "n = 4.5", "n", "4.5"),
+        ("reps = 3", "reps = many", "reps", "many"),
+        ("seed = 6", "seed = 6\nmode = theoretical\nepsilon = abc", "epsilon", "abc"),
+    ],
+    ids=["tau", "law-parameter", "n", "reps", "epsilon"],
+)
+def test_cmd_simulate_bad_number_exits_config_error(tmp_path, capsys, old, new, key, value):
+    cfg = tmp_path / "bad.cfg"
+    assert old in TAU4_BODY
+    cfg.write_text(TAU4_BODY.replace(old, new))
+    assert _simulate_csv(cfg, tmp_path / "out.csv")[0] == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ")
+    assert f"{key!r}" in err and f"{value!r}" in err
+
+
 # ---------------------------------------------------------------- km-check
 
 

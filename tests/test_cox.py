@@ -16,6 +16,7 @@ from oracles import (
     cox_score_direct,
     cox_suffstats_direct,
     predict_cox_mean_dense,
+    predict_cox_mean_fsum,
 )
 
 
@@ -267,6 +268,53 @@ def test_predict_memory_is_blocked():
     finally:
         tracemalloc.stop()
     assert peak <= 16e6
+
+
+def test_predict_allocates_one_block_buffer():
+    # the same 2000 x 2000 case: one (PREDICT_BLOCK + 1) x 2000 buffer is
+    # 2.1 MB, a second block-sized temporary would pass 3 MB
+    fit = fit_cox(model41_sample(45, 2000))
+    xs = SeedSpec(46).generator().normal(0.0, 1.0, (2000, 1))
+    tracemalloc.start()
+    try:
+        predict_cox_mean(fit, xs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3e6
+
+
+def _censored_cox_fit():
+    y, ev, x = random_censored_sample(np.random.default_rng(47), 300, d=2)
+    assert 0 < ev.sum() < len(ev)
+    return fit_cox(DesignData(y, ev, x)), SeedSpec(48).generator().normal(0.0, 1.0, (40, 2))
+
+
+def _uncensored_cox_fit():
+    # negative times among its 2000 jump points
+    data = model41_sample(45, 2000)
+    assert data.time.min() < 0.0
+    return fit_cox(data), SeedSpec(49).generator().normal(0.0, 1.5, (40, 1))
+
+
+def _single_row_cox_fit():
+    fit = fit_cox(model41_sample(43, 400))
+    return fit, np.array([0.7])
+
+
+@pytest.mark.parametrize(
+    "make", [_censored_cox_fit, _uncensored_cox_fit, _single_row_cox_fit],
+    ids=["censored", "uncensored-n2000", "single-row"],
+)
+def test_predict_matches_fsum_oracle(make):
+    fit, xs = make()
+    out = predict_cox_mean(fit, xs)
+    if xs.ndim == 1:
+        assert isinstance(out, float)
+        out, xs = np.array([out]), xs[None, :]
+    span = fit.t_max - fit.baseline.times[0]
+    oracle = np.array([predict_cox_mean_fsum(fit, row) for row in xs])
+    assert np.max(np.abs(out - oracle)) <= 1e-14 * span
 
 
 def test_cross_model_slopes_cancel_uncensored():
