@@ -368,10 +368,16 @@ def _solve_with_report(data: DesignData, init) -> tuple[np.ndarray, SolverReport
     y = data.time
     x = data.covariates
     d = data.d
+    if init is not None:
+        init = np.asarray(init, dtype=np.float64).reshape(-1)
+        if init.size != d:
+            raise DataError(f"init has {init.size} values; the design has {d} covariates")
+        if not np.isfinite(init).all():
+            raise DataError("init must be finite (no NaN or inf)")
 
     if d == 1:
         if init is not None:
-            start = float(np.asarray(init, dtype=np.float64).reshape(-1)[0])
+            start = float(init[0])
         else:
             ols = _ols_event_slopes(data)
             start = 0.0 if ols is None else float(ols[0])
@@ -380,19 +386,26 @@ def _solve_with_report(data: DesignData, init) -> tuple[np.ndarray, SolverReport
             raise GehanSolverError(
                 "covariate constant across all informative pairs; slope not identified"
             )
-        beta = np.array([beta1])
-    else:
-        starts = [np.zeros(d) if init is None else np.asarray(init, dtype=np.float64)]
-        ols = _ols_event_slopes(data)
-        if ols is not None:
-            starts += [ols, ols + 1.0, ols - 1.0]
-        else:
-            starts += [np.ones(d), -np.ones(d)]
+        return _checked_report(data, np.array([beta1]), iterations, method)
 
-        loss = lambda b: gehan_loss(b, data)
-        iterations = 0
-        candidates = []
-        for start in starts:
+    ols = _ols_event_slopes(data)
+    if ols is not None:
+        ols_starts = [ols, ols + 1.0, ols - 1.0]
+    else:
+        ols_starts = [np.ones(d), -np.ones(d)]
+    # A warm start (a resample or fold from the full-data slopes) is solved
+    # alone; the OLS starts join only when that solve fails, and then the
+    # result is the one the cold multistart from the same starts gives.
+    if init is None:
+        batches = [[np.zeros(d)] + ols_starts]
+    else:
+        batches = [[init], ols_starts]
+
+    loss = lambda b: gehan_loss(b, data)
+    iterations = 0
+    candidates = []
+    for batch in batches:
+        for start in batch:
             nm = minimize(
                 loss,
                 start,
@@ -402,10 +415,19 @@ def _solve_with_report(data: DesignData, init) -> tuple[np.ndarray, SolverReport
             iterations += nm.nit
             candidates.append(nm.x)
         best = min(candidates, key=loss)
-        beta, sweeps = _coordinate_descent(y, delta, x, best.copy())
-        iterations += sweeps
-        method = "nelder-mead+coordinate"
+        try:
+            beta, sweeps = _coordinate_descent(y, delta, x, best.copy())
+            return _checked_report(
+                data, beta, iterations + sweeps, "nelder-mead+coordinate"
+            )
+        except GehanSolverError:
+            if batch is batches[-1]:
+                raise
 
+
+def _checked_report(data: DesignData, beta, iterations, method):
+    """(beta, report); for d > 1, raises when the score misses the n**-1 bound."""
+    x = data.covariates
     score = _tie_safe_score(beta, data)
     bounds = (x.max(axis=0) - x.min(axis=0)) / data.n
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -418,7 +440,7 @@ def _solve_with_report(data: DesignData, init) -> tuple[np.ndarray, SolverReport
         iterations=int(iterations),
         method=method,
     )
-    if d > 1 and ratio > 1.0 + 1e-9:
+    if data.d > 1 and ratio > 1.0 + 1e-9:
         raise GehanSolverError(
             f"score norm {report.score_norm:.3e} exceeds the n**-1 acceptance bound",
             best=beta,
@@ -458,11 +480,16 @@ def solve_gehan(data: DesignData, init=None) -> np.ndarray:
     subjects change residual order across it; the kinks of their pairs then
     give the minimizer (midpoint of a flat bottom), the same value a scan of
     every kink gives.  A flat or unbounded profile is left to that full scan,
-    which raises.  Higher dimensions run deterministic multi-start
-    Nelder-Mead with a coordinate-descent polish, each coordinate step that
-    line search; the result must drive the estimating function below the
-    discreteness-scale bound (coordinate range / n) or a
-    :class:`GehanSolverError` is raised carrying the best iterate.
+    which raises.  Higher dimensions run deterministic Nelder-Mead with a
+    coordinate-descent polish, each coordinate step that line search; the
+    result must drive the estimating function below the discreteness-scale
+    bound (coordinate range / n) or a :class:`GehanSolverError` is raised
+    carrying the best iterate.  Without ``init`` the searches start from
+    zero, the event-only OLS slopes and OLS +- 1.  With ``init`` (a warm
+    start, such as full-data slopes for a resample) one search starts there;
+    the OLS starts join only when it fails or misses the bound, and the
+    result is then the best of all four.  ``init`` must hold d finite values,
+    else :class:`DataError`.
     """
     beta, _ = _solve_with_report(data, init)
     return beta
@@ -477,7 +504,12 @@ def fit_aft(
     seed: int = 0,
     tail_threshold: float = 0.15,
 ) -> AftFit:
-    """Full pipeline: rank-based slopes, then KM-mean intercept on the residuals."""
+    """Full pipeline: rank-based slopes, then KM-mean intercept on the residuals.
+
+    ``init`` warm-starts the slope solve (see :func:`solve_gehan`); the
+    bootstrap resamples start from the fitted slopes, with the OLS starts
+    joining a resample's solve only when that single search misses.
+    """
     beta, report = _solve_with_report(data, init)
     sample = ResidualSample.from_arrays(residuals(data, beta), data.event)
     dist = km_fit(sample, truncation)
@@ -500,7 +532,10 @@ def bootstrap_se(
     """Nonparametric bootstrap standard errors for (intercept, slopes).
 
     Resamples subjects with replacement; resamples whose fit fails are
-    dropped, and more than 20% failures aborts with an error.
+    dropped, and more than 20% failures aborts with an error.  Each resample
+    is solved from ``init`` (the full-data slopes, fitted here when not
+    given); at d > 1 the OLS starts join only when that single search
+    fails or misses the score bound (see :func:`solve_gehan`).
     """
     if replicates < 2:
         raise GehanSolverError("bootstrap needs at least 2 replicates")

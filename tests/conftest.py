@@ -4,6 +4,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from aftmean import gehan
+
 sys.path.insert(0, str(Path(__file__).parent))
 
 
@@ -20,3 +22,16 @@ def random_censored_sample(rng, n, d=1, cens_scale=1.0):
     y = np.minimum(t, c)
     event = t <= c
     return y, event, x
+
+
+def count_searches(monkeypatch):
+    """A list that grows by one at each Nelder-Mead search the slope solver starts."""
+    calls = []
+    search = gehan.minimize
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(gehan, "minimize", counted)
+    return calls

@@ -15,7 +15,7 @@ from aftmean.cli import (
 from aftmean.errors import DataError
 from aftmean.gehan import DesignData
 from aftmean.simulation import parse_scenario_text
-from conftest import random_censored_sample
+from conftest import count_searches, random_censored_sample
 
 try:
     from importlib import resources
@@ -267,6 +267,22 @@ def test_cmd_predict_cv_duplicated_row_is_influence_free(tmp_path):
     got = list(csv.reader(out.open()))
     first, last = got[1], got[-1]
     assert float(first[3]) == pytest.approx(float(last[3]), abs=1e-9)
+
+
+def test_cmd_predict_cv_folds_start_from_the_full_fit(tmp_path, monkeypatch):
+    # four searches for the full fit, then one per fold from its slopes
+    rng = np.random.default_rng(12)
+    y, ev, x = random_censored_sample(rng, 15, d=2)
+    path = tmp_path / "d2.csv"
+    write_csv(path, ["t", "e", "x1", "x2"], np.column_stack([y, ev, x]).tolist())
+    calls = count_searches(monkeypatch)
+    out = tmp_path / "cv.csv"
+    assert main(
+        ["predict-cv", "--input", str(path), "--response", "t", "--event", "e",
+         "--covariates", "x1,x2", "--output", str(out)]
+    ) == EXIT_OK
+    assert [row[4] for row in list(csv.reader(out.open()))[1:]] == ["0"] * 15
+    assert len(calls) == 4 + 15
 
 
 def test_cmd_predict_cv_needs_three_subjects(tmp_path):

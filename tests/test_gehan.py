@@ -19,7 +19,7 @@ from aftmean.gehan import (
 )
 from aftmean.simulation import parse_scenario_text
 from aftmean.survfit import km_fit, mean_of, ResidualSample
-from conftest import random_censored_sample
+from conftest import count_searches, random_censored_sample
 from oracles import gehan_loss_double_sum, gehan_loss_on_grid, gehan_score_double_sum
 
 
@@ -207,15 +207,20 @@ def test_solver_unbounded_direction_raises():
         solve_gehan(data)
 
 
+def table1_draw(config, rep=0):
+    cfg = resources.files("aftmean").joinpath("configs", config)
+    scenario = parse_scenario_text(cfg.read_text())
+    model = scenario.subject_model()
+    return DesignData(*model.sample(SeedSpec(scenario.seed, rep).generator(), scenario.n))
+
+
 def test_solver_error_best_has_full_length_for_d2():
     # replicate 0 of this cell has every event at x1 = 0, so coordinate
     # descent meets a loss that is flat toward +inf along x1
-    cfg = resources.files("aftmean").joinpath("configs", "table1_b_x2u05_tau1.5_n100.cfg")
-    scenario = parse_scenario_text(cfg.read_text())
-    y, ev, x = scenario.subject_model().sample(SeedSpec(scenario.seed, 0).generator(), scenario.n)
-    assert np.all(x[ev, 0] == 0.0)
+    data = table1_draw("table1_b_x2u05_tau1.5_n100.cfg")
+    assert np.all(data.covariates[data.event, 0] == 0.0)
     with pytest.raises(GehanSolverError, match="flat toward \\+inf") as info:
-        solve_gehan(DesignData(y, ev, x))
+        solve_gehan(data)
     assert info.value.best.shape == (2,)
 
 
@@ -227,18 +232,62 @@ def test_d2_fit_missing_the_score_bound_raises_after_one_search_per_start(monkey
     c = rng.integers(2, 17, 300)
     data = DesignData(np.minimum(t, c), t <= c, x)
     assert gehan._ols_event_slopes(data) is not None  # so four starts
-    calls = []
-    search = gehan.minimize
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return search(*args, **kwargs)
-
-    monkeypatch.setattr(gehan, "minimize", counted)
+    calls = count_searches(monkeypatch)
     with pytest.raises(GehanSolverError, match="acceptance bound") as info:
         fit_aft(data)
     assert len(calls) == 4
     assert info.value.best.shape == (2,)
+
+
+def test_warm_d2_solve_runs_one_search_and_a_cold_one_four(monkeypatch):
+    data = table1_draw("table1_b_x2u22_tau1.5_n100.cfg")
+    full = solve_gehan(data)
+    sub = data.subset(SeedSpec(11, 0).generator().integers(0, data.n, data.n))
+    calls = count_searches(monkeypatch)
+    solve_gehan(sub, init=full)
+    assert len(calls) == 1
+    solve_gehan(sub)
+    assert len(calls) == 1 + 4
+
+
+def test_warm_solve_missing_the_bound_falls_back_to_the_ols_starts(monkeypatch):
+    # tied lattice, no signal: on this resample the search from the
+    # full-data slopes alone ends with the score above the bound (ratio 1.225)
+    rng = np.random.default_rng(4)
+    x = rng.integers(0, 3, (100, 2)).astype(float)
+    t = rng.integers(2, 17, 100).astype(float)
+    c = rng.integers(2, 17, 100)
+    data = DesignData(np.minimum(t, c), t <= c, x)
+    full = solve_gehan(data)
+    sub = data.subset(SeedSpec(7, 2).generator().integers(0, 100, 100))
+    calls = count_searches(monkeypatch)
+    _, report = gehan._solve_with_report(sub, full)
+    assert len(calls) == 4
+    assert report.score_ratio <= 1.0
+
+
+@pytest.mark.parametrize(
+    "solve, data, init",
+    [
+        (solve_gehan, toy3(), [1.0, 5.0]),
+        (solve_gehan, exact_linear(), [1.0, 1.0, 1.0]),
+        (lambda data, init: bootstrap_se(data, 2, init=init), exact_linear(), [1.0]),
+    ],
+    ids=["d1-solve", "d2-solve", "d2-bootstrap"],
+)
+def test_init_of_the_wrong_length_raises_data_error(solve, data, init):
+    with pytest.raises(DataError, match=f"init has {len(init)} values; the design has"):
+        solve(data, init=init)
+
+
+@pytest.mark.parametrize(
+    "data, init",
+    [(toy3(), [np.nan]), (exact_linear(), [1.0, np.inf])],
+    ids=["d1-nan", "d2-inf"],
+)
+def test_nonfinite_init_raises_data_error(data, init):
+    with pytest.raises(DataError, match="init must be finite"):
+        solve_gehan(data, init=init)
 
 
 def _scan_slope(data):
@@ -580,3 +629,36 @@ def test_bootstrap_failure_cap():
     )
     with pytest.raises(GehanSolverError, match="resamples"):
         bootstrap_se(data, 50, seed=1)
+
+
+def categorical_months(seed=0, n=100):
+    """Three-level and binary covariates, whole-month times, about 40% censored."""
+    rng = np.random.default_rng(seed)
+    x = np.column_stack([rng.integers(0, 3, n), rng.integers(0, 2, n)]).astype(float)
+    t = np.ceil(12.0 + 6.0 * x[:, 0] - 8.0 * x[:, 1] + rng.exponential(10.0, n))
+    c = rng.integers(6, 60, n)
+    return DesignData(np.minimum(t, c), t <= c, x)
+
+
+@pytest.mark.parametrize(
+    "data",
+    [table1_draw("table1_a_tau4_n400.cfg"), categorical_months()],
+    ids=["table1-tau4-n400", "categorical-months"],
+)
+def test_warm_resample_solves_match_cold_solves(data):
+    # the cold solve (zero and OLS starts) is the reference for the single
+    # search from the full-data slopes that bootstrap_se runs per resample
+    full = solve_gehan(data)
+    estimates = {"warm": [], "cold": []}
+    for b in range(20):
+        sub = data.subset(SeedSpec(11, b).generator().integers(0, data.n, data.n))
+        losses = {}
+        for kind, init in (("warm", full), ("cold", None)):
+            beta, report = gehan._solve_with_report(sub, init)
+            sample = ResidualSample.from_arrays(residuals(sub, beta), sub.event)
+            estimates[kind].append(np.concatenate([[mean_of(km_fit(sample))], beta]))
+            losses[kind] = report.loss
+        assert losses["warm"] <= losses["cold"] * (1.0 + 1e-6)
+    warm_sd, cold_sd = (np.std(estimates[k], axis=0, ddof=1) for k in ("warm", "cold"))
+    np.testing.assert_array_equal(bootstrap_se(data, 20, seed=11, init=full), warm_sd)
+    np.testing.assert_allclose(warm_sd, cold_sd, rtol=0.01)
