@@ -177,6 +177,10 @@ class SeedSpec:
     master: int
     stream: int = 0
 
+    def __post_init__(self):
+        if self.master < 0:
+            raise ConfigError(f"seed must be a non-negative integer, got {self.master}")
+
     def generator(self) -> np.random.Generator:
         return np.random.default_rng(
             np.random.SeedSequence(self.master, spawn_key=(self.stream,))

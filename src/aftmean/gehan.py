@@ -138,20 +138,18 @@ def gehan_score(beta, data: DesignData) -> np.ndarray:
     return kernels.gehan_score_sorted(es, ds, xs) / data.n**2
 
 
-def _profile_minimum(bp, w, s0, slack=None):
+def _profile_minimum(bp, w, s0, slack):
     """Minimize a piecewise-linear convex profile given its kink structure.
 
-    Returns (minimizer, kinks) treating near-zero derivative stretches as
-    flat intervals (midpoint rule).  Raises on unbounded descent.  ``slack``
-    defaults to ``_SLACK_REL`` times the total kink weight; a caller passing
-    part of a profile passes the slack of the whole one.
+    Returns the minimizer, treating near-zero derivative stretches as flat
+    intervals (midpoint rule).  Raises on unbounded descent, carrying the
+    finite end of the flat ray.  ``slack`` is ``_SLACK_REL`` times the total
+    kink weight of the whole profile, of which ``bp`` may be a part.
     """
     order = np.argsort(bp, kind="stable")
     bp = bp[order]
     w = w[order]
     cum = s0 + np.cumsum(w)
-    if slack is None:
-        slack = _SLACK_REL * float(np.sum(w))
     if s0 >= -slack:
         raise GehanSolverError(
             "unbounded direction: loss nonincreasing toward -inf",
@@ -164,7 +162,7 @@ def _profile_minimum(bp, w, s0, slack=None):
             best=np.array([bp[-1]]),
         )
     if cum[k] > slack:
-        return float(bp[k]), bp.size
+        return float(bp[k])
     k2 = k
     while k2 + 1 < bp.size and cum[k2 + 1] <= slack:
         k2 += 1
@@ -173,15 +171,7 @@ def _profile_minimum(bp, w, s0, slack=None):
             "unbounded direction: loss flat toward +inf",
             best=np.array([bp[k]]),
         )
-    return float(0.5 * (bp[k] + bp[k2 + 1])), bp.size
-
-
-def _solve_coordinate(y, delta, x):
-    """Exact minimizer along one coordinate; None when the profile is flat."""
-    bp, w, s0 = kernels.d1_pair_profile(y, delta, x)
-    if bp.size == 0:
-        return None, 0
-    return _profile_minimum(bp, w, s0)
+    return float(0.5 * (bp[k] + bp[k2 + 1]))
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +181,9 @@ def _solve_coordinate(y, delta, x):
 # both ends of the minimum: the crossings of -slack and +slack that
 # _profile_minimum looks for.  Once only a few subjects change order across
 # the bracket, their pairs alone are enumerated and the kink scan finishes
-# on them.
+# on them.  A profile flat toward -inf has no -slack crossing and one flat
+# toward +inf no +slack crossing; the bracket then holds the one crossing
+# there is, and the scan raises with the finite end of the flat ray.
 
 
 def _sorted_derivative(ds, xs):
@@ -217,8 +209,10 @@ def _line_search_d1(y, delta, x, start):
     Memory exceeds O(n) only when many kinks coincide at the minimum (a
     lattice of covariate and time values), which bisection cannot split.
     Returns (slope, derivative evaluations + kinks enumerated), or None when
-    the profile is flat or unbounded, or when rounding defeats the local
-    scan; the full kink scan then decides.
+    no pair has two covariate values (no kinks).  A flat or unbounded
+    profile raises :class:`GehanSolverError` carrying the end of its flat
+    ray, as a scan of every kink would, and so does a minimum beyond the
+    float range.
     """
     n = y.shape[0]
     # derivative at -inf and total kink weight from sorted x and prefix sums
@@ -231,9 +225,12 @@ def _line_search_d1(y, delta, x, start):
     fall = below * xe - prefix[below]
     s0 = -float(rise.sum())
     total = float(rise.sum() + fall.sum())
-    slack = _SLACK_REL * total
-    if s0 >= -slack or s0 + total <= slack:
+    if total == 0.0:
         return None
+    slack = _SLACK_REL * total
+    # lo must lie left of the first crossing, hi right of the last
+    left_of_first = (lambda s: s <= slack) if s0 >= -slack else (lambda s: s < -slack)
+    right_of_last = (lambda s: s >= -slack) if s0 + total <= slack else (lambda s: s > slack)
 
     # Residuals closer than this may sort against the sign of their kink
     # expression (gap / slope).  A run of them goes to the local scan whole
@@ -285,23 +282,26 @@ def _line_search_d1(y, delta, x, start):
                 hi = p
         return lo, hi
 
-    # bracket: lo left of both crossings, hi right of both, by doubling steps
+    # bracket by doubling steps
     spread = float(np.ptp(y)) / float(np.ptp(x)) + abs(start)
     first_step = spread / n if spread > 0.0 else 1.0
     lo = hi = probe(start)
     step = first_step
-    while lo.deriv >= -slack and np.isfinite(start - step):
+    while not left_of_first(lo.deriv) and np.isfinite(start - step):
         lo = probe(start - step)
         step *= 2.0
     step = first_step
-    while hi.deriv <= slack and np.isfinite(start + step):
+    while not right_of_last(hi.deriv) and np.isfinite(start + step):
         hi = probe(start + step)
         step *= 2.0
-    if lo.deriv >= -slack or hi.deriv <= slack:
-        return None
+    if not left_of_first(lo.deriv) or not right_of_last(hi.deriv):
+        end = hi if left_of_first(lo.deriv) else lo
+        raise GehanSolverError(
+            "line search bracket overflows the float range", best=np.array([end.b])
+        )
 
-    lo, right = bisect(lo, hi, lambda s: s < -slack)
-    if right.deriv > slack:
+    lo, right = bisect(lo, hi, left_of_first)
+    if right_of_last(right.deriv):
         hi = right
     else:  # right lies on a flat bottom: bracket its far end on its own
         hi = bisect(right, hi, lambda s: s <= slack)[1]
@@ -312,19 +312,8 @@ def _line_search_d1(y, delta, x, start):
     bp, w, s_sub = kernels.d1_pair_profile(y[sub], delta[sub], x[sub])
     keep = sub[lo.order]
     inner = _sorted_derivative(delta[lo.order][keep], x[lo.order][keep])
-    try:
-        beta1, _ = _profile_minimum(bp, w, lo.deriv - inner + s_sub, slack)
-    except GehanSolverError:
-        return None
+    beta1 = _profile_minimum(bp, w, lo.deriv - inner + s_sub, slack)
     return beta1, probes + bp.size
-
-
-def _solve_line(y, delta, x, start):
-    """(slope, work, method): the line search from ``start``, else the full scan."""
-    found = _line_search_d1(y, delta, x, start)
-    if found is not None:
-        return (*found, "bisection+local-scan")
-    return (*_solve_coordinate(y, delta, x), "exact-scan")
 
 
 def _ols_event_slopes(data: DesignData) -> np.ndarray | None:
@@ -381,12 +370,13 @@ def _solve_with_report(data: DesignData, init) -> tuple[np.ndarray, SolverReport
         else:
             ols = _ols_event_slopes(data)
             start = 0.0 if ols is None else float(ols[0])
-        beta1, iterations, method = _solve_line(y, delta, x[:, 0], start)
-        if beta1 is None:
+        found = _line_search_d1(y, delta, x[:, 0], start)
+        if found is None:
             raise GehanSolverError(
                 "covariate constant across all informative pairs; slope not identified"
             )
-        return _checked_report(data, np.array([beta1]), iterations, method)
+        beta1, iterations = found
+        return _checked_report(data, np.array([beta1]), iterations, "bisection+local-scan")
 
     ols = _ols_event_slopes(data)
     if ols is not None:
@@ -456,14 +446,15 @@ def _coordinate_descent(y, delta, x, beta):
             others = np.delete(np.arange(d), k)
             y_adj = y - x[:, others] @ beta[others]
             try:
-                bk, _, _ = _solve_line(y_adj, delta, x[:, k], beta[k])
+                found = _line_search_d1(y_adj, delta, x[:, k], beta[k])
             except GehanSolverError as exc:
                 # the profile error carries only coordinate k's endpoint
                 best = beta.copy()
                 best[k] = exc.best[0]
                 raise GehanSolverError(str(exc), best=best) from exc
-            if bk is None:
+            if found is None:
                 continue  # flat coordinate: leave as-is
+            bk = found[0]
             shift = max(shift, abs(bk - beta[k]))
             beta[k] = bk
         if shift <= _TOL:
@@ -479,17 +470,17 @@ def solve_gehan(data: DesignData, init=None) -> np.ndarray:
     ``init`` or the event-only OLS slope, brackets the minimum until few
     subjects change residual order across it; the kinks of their pairs then
     give the minimizer (midpoint of a flat bottom), the same value a scan of
-    every kink gives.  A flat or unbounded profile is left to that full scan,
-    which raises.  Higher dimensions run deterministic Nelder-Mead with a
-    coordinate-descent polish, each coordinate step that line search; the
-    result must drive the estimating function below the discreteness-scale
-    bound (coordinate range / n) or a :class:`GehanSolverError` is raised
-    carrying the best iterate.  Without ``init`` the searches start from
-    zero, the event-only OLS slopes and OLS +- 1.  With ``init`` (a warm
-    start, such as full-data slopes for a resample) one search starts there;
-    the OLS starts join only when it fails or misses the bound, and the
-    result is then the best of all four.  ``init`` must hold d finite values,
-    else :class:`DataError`.
+    every kink gives.  A flat or unbounded profile raises from the same
+    search, in O(n) memory, carrying the finite end of the flat ray.  Higher
+    dimensions run deterministic Nelder-Mead with a coordinate-descent
+    polish, each coordinate step that line search; the result must drive
+    the estimating function below the discreteness-scale bound (coordinate
+    range / n) or a :class:`GehanSolverError` is raised carrying the best
+    iterate.  Without ``init`` the searches start from zero, the event-only
+    OLS slopes and OLS +- 1.  With ``init`` (a warm start, such as full-data
+    slopes for a resample) one search starts there; the OLS starts join only
+    when it fails or misses the bound, and the result is then the best of
+    all four.  ``init`` must hold d finite values, else :class:`DataError`.
     """
     beta, _ = _solve_with_report(data, init)
     return beta

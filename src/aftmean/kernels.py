@@ -41,9 +41,9 @@ def gehan_score_sorted(es, ds, xs):
 # One-dimensional profile of the piecewise-linear loss: every event/other
 # pair with x_j != x_i contributes a kink at (y_j - y_i)/(x_j - x_i) where
 # the derivative jumps up by |x_j - x_i|; s0 is the derivative at -inf.
-# Called on the subset of subjects the line search isolates, or on all of
-# them when the full scan decides a flat or unbounded profile; a subset's
-# kinks are the same floats as in the full list.
+# Called only on the subset of subjects the line search isolates, flat or
+# unbounded profiles included; a subset's kinks are the same floats as in
+# the list over all subjects.
 
 
 def d1_pair_profile(y, delta, x):

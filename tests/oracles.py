@@ -8,6 +8,10 @@ library paths it checks.
 import math
 
 import numpy as np
+from scipy import sparse
+from scipy.optimize import linprog
+
+from aftmean.errors import GehanSolverError
 
 
 def km_cdf_literal(t, residuals, events):
@@ -73,6 +77,80 @@ def gehan_loss_on_grid(y, delta, x, grid):
         gap[:, :, None] - slope[:, :, None] * grid[None, None, :], 0.0
     ).sum(axis=(0, 1))
     return vals / n**2
+
+
+def gehan_d1_scan(y, delta, x):
+    """Exact d = 1 Gehan slope from a scan of every kink of the loss profile.
+
+    Every event i and subject j with x_j != x_i put a kink at
+    (y_j - y_i) / (x_j - x_i), where the derivative in the slope rises by
+    |x_j - x_i|; far left it is -sum (x_j - x_i) over the pairs with
+    x_j > x_i.  With slack = 1e-10 times the total kink weight, the minimizer
+    is the first kink where the derivative reaches -slack, or, when the
+    derivative is still within slack there, the midpoint between that kink
+    and the first one past +slack.  Returns None when there is no kink; a
+    loss flat or falling toward either infinity raises GehanSolverError
+    carrying the finite end of the ray.  O(n_events * n) memory.
+    """
+    kinks, weights, s0 = [], [], 0.0
+    for i in np.flatnonzero(delta > 0):
+        other = x != x[i]
+        slope = x[other] - x[i]
+        kinks.append((y[other] - y[i]) / slope)
+        weights.append(np.abs(slope))
+        s0 -= slope[slope > 0].sum()
+    bp = np.concatenate(kinks) if kinks else np.empty(0)
+    if bp.size == 0:
+        return None
+    order = np.argsort(bp, kind="stable")
+    bp = bp[order]
+    w = np.concatenate(weights)[order]
+    slack = 1e-10 * w.sum()
+    cum = s0 + np.cumsum(w)
+    if s0 >= -slack:
+        raise GehanSolverError(
+            "unbounded direction: loss nonincreasing toward -inf", best=np.array([bp[0]])
+        )
+    reached = np.flatnonzero(cum >= -slack)
+    if reached.size == 0:
+        raise GehanSolverError(
+            "unbounded direction: loss nonincreasing toward +inf", best=np.array([bp[-1]])
+        )
+    k = reached[0]
+    if cum[k] > slack:
+        return float(bp[k])
+    past = np.flatnonzero(cum > slack)
+    if past.size == 0:
+        raise GehanSolverError(
+            "unbounded direction: loss flat toward +inf", best=np.array([bp[k]])
+        )
+    return float(0.5 * (bp[k] + bp[past[0]]))
+
+
+def gehan_lp(data):
+    """Gehan slopes from the pairwise linear program of Jin, Lin, Wei & Ying (2003).
+
+    Minimises sum u_ij over every event i and subject j != i, subject to
+    u_ij >= (y_j - y_i) - (x_j - x_i)'beta and u >= 0, with HiGHS on sparse
+    constraints.  Returns the LP's beta; score it with the loss itself, not
+    with the solver's objective, which carries its feasibility tolerance.
+    """
+    y, x = data.time, data.covariates
+    n, d = x.shape
+    i, j = np.meshgrid(np.flatnonzero(data.event), np.arange(n), indexing="ij")
+    pair = i != j
+    i, j = i[pair], j[pair]
+    # -u_ij - (x_j - x_i)'beta <= -(y_j - y_i)
+    a_ub = sparse.hstack([sparse.csr_matrix(x[i] - x[j]), -sparse.identity(i.size)])
+    result = linprog(
+        np.concatenate([np.zeros(d), np.ones(i.size)]),
+        A_ub=a_ub.tocsr(),
+        b_ub=y[i] - y[j],
+        bounds=[(None, None)] * d + [(0.0, None)] * i.size,
+        method="highs",
+    )
+    assert result.status == 0, result.message
+    return result.x[:d]
 
 
 def cox_score_direct(beta, y, delta, x):

@@ -16,6 +16,7 @@ from aftmean.errors import DataError
 from aftmean.gehan import DesignData
 from aftmean.simulation import parse_scenario_text
 from conftest import count_searches, random_censored_sample
+from oracles import gehan_d1_scan
 
 try:
     from importlib import resources
@@ -187,9 +188,7 @@ def test_cmd_fit_lattice_d1_bootstrap_accepts_exact_minima(tmp_path, monkeypatch
     assert rc == EXIT_OK
     assert len(solved) == 51  # the full data, then every resample
     for data, slope in solved:
-        exact, _ = gehan._solve_coordinate(
-            data.time, data.event.astype(float), data.covariates[:, 0]
-        )
+        exact = gehan_d1_scan(data.time, data.event.astype(float), data.covariates[:, 0])
         assert slope == exact
 
 
@@ -441,6 +440,27 @@ def test_cmd_simulate_bad_number_exits_config_error(tmp_path, capsys, old, new, 
     err = capsys.readouterr().err
     assert err.startswith("configuration error: ")
     assert f"{key!r}" in err and f"{value!r}" in err
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["simulate", "--scenario", "{cfg}", "--seed", "-5"],
+        ["simulate", "--scenario", "{negative_cfg}"],
+        ["fit", "--input", "{csv}", "--response", "time", "--event", "status",
+         "--covariates", "x1,x2", "--boot", "4", "--seed", "-1"],
+    ],
+    ids=["simulate-flag", "simulate-file", "fit-boot"],
+)
+def test_negative_seed_exits_config_error(tmp_path, capsys, linear_csv, command):
+    cfg, negative_cfg = tmp_path / "plain.cfg", tmp_path / "negative.cfg"
+    cfg.write_text(TAU4_BODY)
+    negative_cfg.write_text(TAU4_BODY.replace("seed = 6", "seed = -3"))
+    out = tmp_path / "out.csv"
+    argv = [word.format(cfg=cfg, negative_cfg=negative_cfg, csv=linear_csv) for word in command]
+    assert main(argv + ["--output", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("configuration error: seed must be a non-negative")
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------- km-check

@@ -20,7 +20,13 @@ from aftmean.gehan import (
 from aftmean.simulation import parse_scenario_text
 from aftmean.survfit import km_fit, mean_of, ResidualSample
 from conftest import count_searches, random_censored_sample
-from oracles import gehan_loss_double_sum, gehan_loss_on_grid, gehan_score_double_sum
+from oracles import (
+    gehan_d1_scan,
+    gehan_lp,
+    gehan_loss_double_sum,
+    gehan_loss_on_grid,
+    gehan_score_double_sum,
+)
 
 
 def toy3():
@@ -224,6 +230,60 @@ def test_solver_error_best_has_full_length_for_d2():
     assert info.value.best.shape == (2,)
 
 
+def _censored(t, c, x):
+    return DesignData(np.minimum(t, c), t <= c, x.astype(float))
+
+
+def table1_like(rng, n):
+    """x1 Bernoulli, x2 normal, N(0, 0.5) errors, follow-up capped at 1.5."""
+    x = np.column_stack([rng.random(n) < 0.5, rng.normal(0.0, 1.0, n)])
+    t = 2.0 + x.sum(axis=1) + rng.normal(0.0, 0.5, n)
+    return _censored(t, np.minimum(rng.uniform(0.0, 5.0, n), 1.5), x)
+
+
+def lattice(rng, n):
+    """x in {0, 1, 2}^2, whole-number times and censoring times 2..16, no signal."""
+    x = rng.integers(0, 3, (n, 2))
+    return _censored(rng.integers(2, 17, n), rng.integers(2, 17, n), x)
+
+
+def binary_gumbel(rng, n):
+    """Two binary covariates, Gumbel errors, U(0, 3) censoring."""
+    x = rng.integers(0, 2, (n, 2))
+    t = 1.0 + x @ np.array([1.0, -0.5]) + rng.gumbel(0.0, 0.5, n)
+    return _censored(t, rng.uniform(0.0, 3.0, n), x)
+
+
+def three_covariates(rng, n):
+    """Binary, normal and three-level covariates, N(0, 0.5) errors, U(0, 4) censoring."""
+    x = np.column_stack([rng.random(n) < 0.5, rng.normal(0.0, 1.0, n), rng.integers(0, 3, n)])
+    t = 1.0 + x @ np.array([1.0, 0.5, -0.5]) + rng.normal(0.0, 0.5, n)
+    return _censored(t, rng.uniform(0.0, 4.0, n), x)
+
+
+def test_d2_and_d3_fits_reach_the_pairwise_lp_minimum():
+    # the LP of Jin, Lin, Wei & Ying (2003) is an exact, independent minimum
+    # of the Gehan loss; a raising fit's best must attain it too
+    accepted = 0
+    raised = []
+    for draw in (table1_like, lattice, binary_gumbel, three_covariates):
+        for seed in range(20):
+            data = draw(np.random.default_rng(seed), 40)
+            lp_loss = gehan_loss(gehan_lp(data), data)
+            try:
+                beta = solve_gehan(data)
+            except GehanSolverError as exc:
+                assert type(exc) is GehanSolverError
+                assert gehan_loss(exc.best, data) <= lp_loss * (1.0 + 1e-12)
+                raised.append(str(exc))
+                continue
+            assert gehan_loss(beta, data) <= lp_loss * (1.0 + 1e-9)
+            accepted += 1
+    assert accepted >= 60
+    # every raise is a flat ray: all of a short-follow-up draw's events share one x1
+    assert set(raised) <= {"unbounded direction: loss flat toward +inf"}
+
+
 def test_d2_fit_missing_the_score_bound_raises_after_one_search_per_start(monkeypatch):
     # tied lattice: x in {0, 1, 2}^2, whole-number times, no signal
     rng = np.random.default_rng(0)
@@ -292,8 +352,7 @@ def test_nonfinite_init_raises_data_error(data, init):
 
 def _scan_slope(data):
     """The full O(n_events * n) kink scan, the d = 1 reference."""
-    delta = data.event.astype(float)
-    return gehan._solve_coordinate(data.time, delta, data.covariates[:, 0])[0]
+    return gehan_d1_scan(data.time, data.event.astype(float), data.covariates[:, 0])
 
 
 def test_d1_line_search_matches_full_kink_scan(rng):
@@ -414,6 +473,56 @@ def test_d1_fit_enumerates_few_kinks_in_little_memory(monkeypatch):
     assert peak <= 16e6
 
 
+def short_follow_up(n=4000):
+    """Follow-up ends by t = 2 and x1 = 1 subjects live past 3: every event has x1 = 0."""
+    rng = np.random.default_rng(3)
+    x = np.column_stack([rng.random(n) < 0.5, rng.normal(0.0, 1.0, n)]).astype(float)
+    t = 1.0 + 2.0 * x[:, 0] + rng.exponential(2.0, n)
+    c = 1.0 + rng.uniform(0.0, 1.0, n)
+    return np.minimum(t, c), t <= c, x
+
+
+@pytest.mark.parametrize(
+    "columns, message",
+    [
+        ([1.0], "unbounded direction: loss flat toward +inf"),
+        ([-1.0], "unbounded direction: loss nonincreasing toward -inf"),
+        ([1.0, 1.0], "unbounded direction: loss flat toward +inf"),
+    ],
+    ids=["d1", "d1-negated", "d2"],
+)
+def test_flat_ray_raises_in_linear_memory(columns, message):
+    # about 440 events against 2000 subjects at x1 = 1: the full kink scan
+    # lists 0.9M kinks, the line search only the pairs near the ray's end
+    y, ev, x = short_follow_up()
+    data = DesignData(y, ev, x[:, : len(columns)] * columns)
+    if data.d == 1:
+        with pytest.raises(GehanSolverError) as scanned:
+            _scan_slope(data)
+        best = scanned.value.best
+    else:  # pinned: what coordinate descent on the full kink scan raised with
+        best = np.array([1.0767944894231594, 0.021598317319065606])
+    tracemalloc.start()
+    try:
+        with pytest.raises(GehanSolverError) as solved:
+            fit_aft(data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert type(solved.value) is GehanSolverError
+    assert str(solved.value) == message
+    np.testing.assert_array_equal(solved.value.best, best)
+    assert peak <= 16e6
+
+
+def test_minimum_beyond_the_float_range_raises():
+    # both kinks are (1e10 - 0) / 1e-300 = inf: no finite bracket exists
+    data = DesignData(np.array([0.0, 1e10]), np.array([1, 1]), np.array([[0.0], [1e-300]]))
+    with pytest.raises(GehanSolverError, match="overflows the float range") as info:
+        solve_gehan(data)
+    assert info.value.best.shape == (1,)
+
+
 def _solve_outcome(data, init):
     """The slopes, or the GehanSolverError raised instead."""
     try:
@@ -459,11 +568,11 @@ def test_coordinate_steps_match_the_full_scan_descent(rng, monkeypatch):
     # the Nelder-Mead starts do not depend on the line search: replay them
     replay = iter(recorded)
     monkeypatch.setattr(gehan, "minimize", lambda *args, **kwargs: next(replay))
-    monkeypatch.setattr(
-        gehan,
-        "_solve_line",
-        lambda y, delta, x, start: (*gehan._solve_coordinate(y, delta, x), "exact-scan"),
-    )
+    def scan(y, delta, x, start):
+        slope = gehan_d1_scan(y, delta, x)
+        return None if slope is None else (slope, 0)
+
+    monkeypatch.setattr(gehan, "_line_search_d1", scan)
     solved = 0
     for (data, init), got in zip(cases, fast):
         want = _solve_outcome(data, init)
