@@ -37,7 +37,6 @@ from .gehan import (
 )
 from .simulation import (
     OlsFit,
-    ReplicationResult,
     Scenario,
     SummaryTable,
     censoring_rate,

@@ -91,13 +91,6 @@ def load_csv(
     return DesignData(np.asarray(times), np.asarray(events), np.asarray(xs))
 
 
-def _truncation(args) -> Truncation:
-    """The truncation rule that ``--mode`` and ``--epsilon`` select."""
-    if args.mode == "theoretical":
-        return Truncation.theoretical(args.epsilon)
-    return Truncation.max_observed()
-
-
 def _load_design(args) -> DesignData:
     if not args.covariates:
         raise ConfigError("at least one covariate column is required (--covariates)")
@@ -114,7 +107,7 @@ def cmd_fit(args) -> int:
     data = _load_design(args)
     fit = fit_aft(
         data,
-        truncation=_truncation(args),
+        truncation=Truncation.from_mode(args.mode, args.epsilon),
         bootstrap=args.boot,
         seed=args.seed,
         tail_threshold=args.threshold,
@@ -148,7 +141,7 @@ def cmd_predict_cv(args) -> int:
     data = _load_design(args)
     if data.n < 3:
         raise DataError("leave-one-out cross-validation needs at least 3 subjects")
-    truncation = _truncation(args)
+    truncation = Truncation.from_mode(args.mode, args.epsilon)
     full = fit_aft(data, truncation=truncation)
     predictions = np.full(data.n, np.nan)
     failed = np.zeros(data.n, dtype=bool)
@@ -223,7 +216,8 @@ def cmd_simulate(args) -> int:
 
 def cmd_km_check(args) -> int:
     data = _load_design(args)
-    fit = fit_aft(data, truncation=_truncation(args), tail_threshold=args.threshold)
+    truncation = Truncation.from_mode(args.mode, args.epsilon)
+    fit = fit_aft(data, truncation=truncation, tail_threshold=args.threshold)
     verdict = "adequate" if fit.tail.adequate else "NOT adequate"
     print(
         f"residual KM tail value {fit.tail.tail_value:.6g}: intercept estimation "
@@ -256,12 +250,11 @@ def _add_model_flags(sub):
                      help="fit on the natural log of the response")
 
 
-def _add_common_flags(sub):
+def _add_truncation_flags(sub):
     sub.add_argument("--mode", choices=("maxobs", "theoretical"), default="maxobs",
                      help="residual-distribution truncation rule")
     sub.add_argument("--epsilon", type=float, default=0.125,
                      help="epsilon for --mode theoretical")
-    sub.add_argument("--seed", type=int, default=_SEED_DEFAULT)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -273,15 +266,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     fit = commands.add_parser("fit", help="fit the censored linear model")
     _add_model_flags(fit)
-    _add_common_flags(fit)
+    _add_truncation_flags(fit)
     fit.add_argument("--output", required=True, help="coefficient CSV output path")
     fit.add_argument("--boot", type=_boot_count, default=0, help="bootstrap replicates for SEs")
+    fit.add_argument("--seed", type=int, default=_SEED_DEFAULT, help="bootstrap master seed")
     fit.add_argument("--threshold", type=float, default=0.15,
                      help="tail-adequacy threshold")
 
     cv = commands.add_parser("predict-cv", help="leave-one-out prediction report")
     _add_model_flags(cv)
-    _add_common_flags(cv)
+    _add_truncation_flags(cv)
     cv.add_argument("--output", required=True, help="per-subject prediction CSV path")
 
     sim = commands.add_parser("simulate", help="run a Monte Carlo scenario")
@@ -290,13 +284,14 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--output", required=True, help="summary CSV output path")
     sim.add_argument("--reps", type=int, default=None,
                      help="override the scenario's replication count")
-    _add_common_flags(sim)
+    sim.add_argument("--seed", type=int, help="override the scenario's master seed")
+    _add_truncation_flags(sim)
     # a flag left out keeps the scenario file's own seed, mode and epsilon
-    sim.set_defaults(seed=None, mode=None, epsilon=None)
+    sim.set_defaults(mode=None, epsilon=None)
 
     km = commands.add_parser("km-check", help="residual KM tail diagnostic")
     _add_model_flags(km)
-    _add_common_flags(km)
+    _add_truncation_flags(km)
     km.add_argument("--threshold", type=float, default=0.15,
                     help="tail-adequacy threshold")
     return parser

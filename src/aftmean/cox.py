@@ -15,6 +15,7 @@ import numpy as np
 from . import kernels
 from .errors import CoxFitError
 from .gehan import DesignData
+from .survfit import step_value
 
 # Test rows per block in predict_cox_mean: each block of survival values
 # exp(-Lambda_k * e^eta) is written into one PREDICT_BLOCK x (baseline jump
@@ -30,11 +31,7 @@ class BaselineHazard:
     cumhaz: np.ndarray
 
     def cumulative(self, t):
-        t = np.asarray(t, dtype=np.float64)
-        idx = np.searchsorted(self.times, t, side="right")
-        padded = np.concatenate([[0.0], self.cumhaz])
-        out = padded[idx]
-        return float(out) if out.ndim == 0 else out
+        return step_value(self.times, self.cumhaz, t)
 
 
 @dataclass(frozen=True)

@@ -88,8 +88,8 @@ class DesignData:
 class SolverReport:
     """What the slope solver did and how well the score vanished.
 
-    The score here is evaluated with machine-precision near-tie grouping
-    (see ``_tie_safe_score``); ``score_ratio`` is the max over coordinates
+    The score is :func:`gehan_score`, which groups residual near-ties at
+    machine precision; ``score_ratio`` is the max over coordinates
     of |score| divided by the acceptance bound (coordinate range / n).  The
     bound is enforced for d > 1 only: the d = 1 slope is the exact minimum,
     whose score on tied data may exceed it, and is reported as is.
@@ -118,12 +118,6 @@ def residuals(data: DesignData, beta) -> np.ndarray:
     return data.time - data.covariates @ np.asarray(beta, dtype=np.float64)
 
 
-def _sorted_parts(data: DesignData, beta):
-    eps = residuals(data, beta)
-    order = np.argsort(eps, kind="stable")
-    return eps[order], data.event[order].astype(np.float64), data.covariates[order]
-
-
 def gehan_loss(beta, data: DesignData) -> float:
     """Convex rank objective at ``beta``."""
     eps = residuals(data, beta)
@@ -133,8 +127,21 @@ def gehan_loss(beta, data: DesignData) -> float:
 
 
 def gehan_score(beta, data: DesignData) -> np.ndarray:
-    """Rank-based estimating function at ``beta`` (O(n log n) path)."""
-    es, ds, xs = _sorted_parts(data, beta)
+    """Rank-based estimating function at ``beta``, in O(n log n).
+
+    Residuals within 64 machine epsilons of the data's scale count as tied:
+    rounding noise alone would turn the score at an exact fit into an
+    arbitrary subgradient, where grouping near-ties gives zero.
+    """
+    fitted = data.covariates @ np.asarray(beta, dtype=np.float64)
+    eps = data.time - fitted
+    scale = max(1.0, float(np.max(np.abs(data.time))), float(np.max(np.abs(fitted))))
+    quantum = 64.0 * np.finfo(np.float64).eps * scale
+    snapped = np.round(eps / quantum) * quantum
+    order = np.argsort(snapped, kind="stable")
+    es = snapped[order]
+    ds = data.event[order].astype(np.float64)
+    xs = data.covariates[order]
     return kernels.gehan_score_sorted(es, ds, xs) / data.n**2
 
 
@@ -327,29 +334,6 @@ def _ols_event_slopes(data: DesignData) -> np.ndarray | None:
     return coef[1:]
 
 
-def _tie_safe_score(beta, data: DesignData) -> np.ndarray:
-    """Score with residuals snapped at machine precision.
-
-    Exactly-fitting data leaves residual ties broken only by rounding noise,
-    which turns the literal score into an arbitrary subgradient; grouping
-    near-ties restores the antisymmetric cancellation the mathematics has.
-    Used for the reported score and the d > 1 bound only.
-    """
-    eps = residuals(data, beta)
-    scale = max(
-        1.0,
-        float(np.max(np.abs(data.time))),
-        float(np.max(np.abs(data.covariates @ beta))),
-    )
-    quantum = 64.0 * np.finfo(np.float64).eps * scale
-    snapped = np.round(eps / quantum) * quantum
-    order = np.argsort(snapped, kind="stable")
-    es = snapped[order]
-    ds = data.event[order].astype(np.float64)
-    xs = data.covariates[order]
-    return kernels.gehan_score_sorted(es, ds, xs) / data.n**2
-
-
 def _solve_with_report(data: DesignData, init) -> tuple[np.ndarray, SolverReport]:
     if data.n_events() == 0:
         raise GehanSolverError("no events: the rank objective is identically zero")
@@ -418,7 +402,7 @@ def _solve_with_report(data: DesignData, init) -> tuple[np.ndarray, SolverReport
 def _checked_report(data: DesignData, beta, iterations, method):
     """(beta, report); for d > 1, raises when the score misses the n**-1 bound."""
     x = data.covariates
-    score = _tie_safe_score(beta, data)
+    score = gehan_score(beta, data)
     bounds = (x.max(axis=0) - x.min(axis=0)) / data.n
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = np.where(bounds > 0, np.abs(score) / bounds, np.abs(score) > 1e-300)
@@ -501,6 +485,8 @@ def fit_aft(
     bootstrap resamples start from the fitted slopes, with the OLS starts
     joining a resample's solve only when that single search misses.
     """
+    if bootstrap:
+        SeedSpec(seed)  # a bad seed stops the run before the full-data solve
     beta, report = _solve_with_report(data, init)
     sample = ResidualSample.from_arrays(residuals(data, beta), data.event)
     dist = km_fit(sample, truncation)

@@ -124,16 +124,6 @@ class Scenario:
 
 
 @dataclass(frozen=True)
-class ReplicationResult:
-    """Per-replicate estimates or prediction errors, plus the failure cause."""
-
-    estimates: np.ndarray | None
-    censoring_rate: float
-    failed: bool = False
-    error: str | None = None
-
-
-@dataclass(frozen=True)
 class OlsFit:
     intercept: float
     slopes: np.ndarray
@@ -180,15 +170,29 @@ def ols_fit(data: DesignData) -> OlsFit:
     return OlsFit(float(coef[0]), coef[1:])
 
 
-def _aggregate(scenario: Scenario, parameters, results) -> SummaryTable:
-    failed = [r for r in results if r.failed]
-    if len(failed) > MAX_FAILURE_FRACTION * scenario.replications:
-        causes = {r.error for r in failed}
+def _replicate(scenario: Scenario, parameters, estimate) -> SummaryTable:
+    """The Monte Carlo loop of both studies.
+
+    Replicate r draws its sample from ``SeedSpec(seed, r)``; ``estimate(rng,
+    data)`` may draw more from the same stream and returns one value per
+    parameter, or raises :class:`EstimationError` to drop the replicate.
+    """
+    model = scenario.subject_model()
+    rows, rates, causes = [], [], []
+    for r in range(scenario.replications):
+        rng = SeedSpec(scenario.seed, r).generator()
+        data = DesignData(*model.sample(rng, scenario.n))
+        rates.append(censoring_rate(data))
+        try:
+            rows.append(estimate(rng, data))
+        except EstimationError as exc:
+            causes.append(str(exc))
+    if len(causes) > MAX_FAILURE_FRACTION * scenario.replications:
         raise SimulationError(
-            f"{len(failed)} of {scenario.replications} replicates failed "
-            f"(cap 5%); causes: {sorted(causes)}"
+            f"{len(causes)} of {scenario.replications} replicates failed "
+            f"(cap 5%); causes: {sorted(set(causes))}"
         )
-    good = np.vstack([r.estimates for r in results if not r.failed])
+    good = np.vstack(rows)
     means = good.mean(axis=0)
     if good.shape[0] > 1:
         sds = good.std(axis=0, ddof=1)
@@ -199,9 +203,9 @@ def _aggregate(scenario: Scenario, parameters, results) -> SummaryTable:
         parameters=tuple(parameters),
         means=means,
         sds=sds,
-        censoring_rate=float(np.mean([r.censoring_rate for r in results])),
+        censoring_rate=float(np.mean(rates)),
         n_replications=scenario.replications,
-        n_failed=len(failed),
+        n_failed=len(causes),
     )
 
 
@@ -209,56 +213,42 @@ def run_estimation_scenario(scenario: Scenario) -> SummaryTable:
     """Monte Carlo over fits of the intercept-study model; means and SDs."""
     if scenario.study != "estimation":
         raise ConfigError("scenario is not an estimation study")
-    model = scenario.subject_model()
-    results = []
-    for r in range(scenario.replications):
-        rng = SeedSpec(scenario.seed, r).generator()
-        y, ev, x = model.sample(rng, scenario.n)
-        rate = 1.0 - float(ev.mean())
-        try:
-            fit = fit_aft(DesignData(y, ev, x), truncation=scenario.truncation)
-            est = np.concatenate([[fit.intercept], fit.slopes])
-            results.append(ReplicationResult(est, rate))
-        except EstimationError as exc:
-            results.append(ReplicationResult(None, rate, failed=True, error=str(exc)))
+
+    def estimate(rng, data):
+        fit = fit_aft(data, truncation=scenario.truncation)
+        return np.concatenate([[fit.intercept], fit.slopes])
+
     names = ("alpha",) + tuple(f"beta{k + 1}" for k in range(len(scenario.slopes)))
-    return _aggregate(scenario, names, results)
+    return _replicate(scenario, names, estimate)
 
 
 def run_prediction_scenario(scenario: Scenario) -> SummaryTable:
     """Monte Carlo prediction comparison: per-replicate test-set MSEs.
 
-    Each replicate draws an independent training set (censored) and test set
-    (true failure times), fits the linear and Cox models on the training
-    data, and records both MSEs; the OLS baseline is added when the scenario
-    is censoring-free.  Ratios against the no-censoring table are attached
-    separately by :func:`with_prediction_ratios`.
+    Each replicate draws a training set, then from the same stream an
+    independent test set of true failure times; it fits the linear and Cox
+    models on the training data and records both MSEs, plus the OLS
+    baseline when the scenario is censoring-free.  Failed replicates count
+    against the 5% cap, as in the estimation study.  Ratios against the
+    no-censoring table are attached by :func:`with_prediction_ratios`.
     """
     if scenario.study != "prediction":
         raise ConfigError("scenario is not a prediction study")
     model = scenario.subject_model()
     with_ols = scenario.uncensored
-    names = ("linear", "cox") + (("ols",) if with_ols else ())
-    results = []
-    for r in range(scenario.replications):
-        rng = SeedSpec(scenario.seed, r).generator()
-        y, ev, x = model.sample(rng, scenario.n)
+
+    def estimate(rng, data):
         t_star, x_star = model.sample_true(rng, scenario.n)
-        rate = 1.0 - float(ev.mean())
-        try:
-            data = DesignData(y, ev, x)
-            aft = fit_aft(data, truncation=scenario.truncation)
-            mse_lin = mse_p(predict_aft(aft, x_star), t_star)
-            cox = fit_cox(data)
-            mse_cox = mse_p(predict_cox_mean(cox, x_star), t_star)
-            mses = [mse_lin, mse_cox]
-            if with_ols:
-                ols = ols_fit(data)
-                mses.append(mse_p(ols.intercept + x_star @ ols.slopes, t_star))
-            results.append(ReplicationResult(np.asarray(mses), rate))
-        except EstimationError as exc:
-            results.append(ReplicationResult(None, rate, failed=True, error=str(exc)))
-    return _aggregate(scenario, names, results)
+        aft = fit_aft(data, truncation=scenario.truncation)
+        mses = [mse_p(predict_aft(aft, x_star), t_star),
+                mse_p(predict_cox_mean(fit_cox(data), x_star), t_star)]
+        if with_ols:
+            ols = ols_fit(data)
+            mses.append(mse_p(ols.intercept + x_star @ ols.slopes, t_star))
+        return np.asarray(mses)
+
+    names = ("linear", "cox") + (("ols",) if with_ols else ())
+    return _replicate(scenario, names, estimate)
 
 
 def with_prediction_ratios(table: SummaryTable, baseline: SummaryTable) -> SummaryTable:
@@ -356,15 +346,10 @@ def parse_scenario_text(text: str, *, reps_override: int | None = None,
     reps = reps_override if reps_override is not None else _number("reps", need("reps"), int)
     seed = seed_override if seed_override is not None else _number("seed", need("seed"), int)
     mode = (mode_override or entries.get("mode", "maxobs")).lower()
-    if mode == "maxobs":
-        truncation = Truncation.max_observed()
-    elif mode == "theoretical":
-        epsilon = epsilon_override
-        if epsilon is None:
-            epsilon = _number("epsilon", entries.get("epsilon", "0.125"))
-        truncation = Truncation.theoretical(epsilon)
-    else:
-        raise ConfigError(f"unknown truncation mode {mode!r}")
+    epsilon = epsilon_override
+    if epsilon is None and mode == "theoretical":
+        epsilon = _number("epsilon", entries.get("epsilon", "0.125"))
+    truncation = Truncation.from_mode(mode, epsilon)
 
     if entries.get("tau", "").lower() == "none":
         raise ConfigError("tau = none is not accepted; write cens = none for uncensored data")

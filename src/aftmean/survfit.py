@@ -39,6 +39,15 @@ class Truncation:
             raise ConfigError(f"epsilon must lie in (0, 1/8], got {epsilon}")
         return cls("threshold", float(epsilon))
 
+    @classmethod
+    def from_mode(cls, mode: str, epsilon: float | None) -> "Truncation":
+        """The rule named ``maxobs`` or ``theoretical``; epsilon is read only by the latter."""
+        if mode == "maxobs":
+            return cls.max_observed()
+        if mode == "theoretical":
+            return cls.theoretical(epsilon)
+        raise ConfigError(f"unknown truncation mode {mode!r}")
+
 
 @dataclass(frozen=True)
 class ResidualSample:
@@ -80,6 +89,14 @@ class RiskCounts:
         return cls(values, d, r)
 
 
+def step_value(jumps, values, t):
+    """Right-continuous step function: 0 before jumps[0], values[k] from jumps[k] on."""
+    t = np.asarray(t, dtype=np.float64)
+    idx = np.searchsorted(jumps, t, side="right")
+    out = np.concatenate([[0.0], values])[idx]
+    return float(out) if out.ndim == 0 else out
+
+
 @dataclass(frozen=True)
 class StepDistribution:
     """Right-continuous distribution estimate with a truncation atom.
@@ -96,11 +113,7 @@ class StepDistribution:
 
     def cdf(self, t):
         """F(t), zero below the first jump and exactly one from the truncation on."""
-        t = np.asarray(t, dtype=np.float64)
-        idx = np.searchsorted(self.support, t, side="right")
-        padded = np.concatenate([[0.0], self.cdf_values])
-        out = padded[idx]
-        return float(out) if out.ndim == 0 else out
+        return step_value(self.support, self.cdf_values, t)
 
     def survival(self, t):
         return 1.0 - self.cdf(t)

@@ -452,15 +452,19 @@ def test_cmd_simulate_bad_number_exits_config_error(tmp_path, capsys, old, new, 
     ],
     ids=["simulate-flag", "simulate-file", "fit-boot"],
 )
-def test_negative_seed_exits_config_error(tmp_path, capsys, linear_csv, command):
+def test_negative_seed_exits_config_error(tmp_path, capsys, monkeypatch, linear_csv, command):
     cfg, negative_cfg = tmp_path / "plain.cfg", tmp_path / "negative.cfg"
     cfg.write_text(TAU4_BODY)
     negative_cfg.write_text(TAU4_BODY.replace("seed = 6", "seed = -3"))
     out = tmp_path / "out.csv"
+    solves = []
+    solve = gehan._solve_with_report
+    monkeypatch.setattr(gehan, "_solve_with_report", lambda *a: solves.append(a) or solve(*a))
     argv = [word.format(cfg=cfg, negative_cfg=negative_cfg, csv=linear_csv) for word in command]
     assert main(argv + ["--output", str(out)]) == EXIT_CONFIG
     assert capsys.readouterr().err.startswith("configuration error: seed must be a non-negative")
     assert not out.exists()
+    assert solves == []  # the seed is checked before anything is fitted
 
 
 # ---------------------------------------------------------------- km-check
@@ -491,6 +495,14 @@ def test_cmd_km_check_heavy_censoring(tmp_path, capsys):
     )
     assert code == EXIT_OK
     assert "NOT adequate" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["predict-cv", "km-check"])
+def test_seed_flag_only_where_it_is_read(tmp_path, linear_csv, command):
+    out = ["--output", str(tmp_path / "cv.csv")] if command == "predict-cv" else []
+    code = main([command, "--input", linear_csv, "--response", "time", "--event", "status",
+                 "--covariates", "x1,x2", "--seed", "3", *out])
+    assert code == EXIT_CONFIG
 
 
 # ---------------------------------------------------------------- bundled configs

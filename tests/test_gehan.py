@@ -90,6 +90,11 @@ def test_score_translation_invariance(rng):
         np.testing.assert_allclose(moved, base, atol=1e-12)
 
 
+def test_score_vanishes_at_an_exact_fit():
+    # rounding noise in the residuals must not break their exact ties
+    np.testing.assert_allclose(gehan_score([1.0, 1.0], exact_linear()), 0.0, atol=1e-12)
+
+
 # ---------------------------------------------------------------- loss
 
 

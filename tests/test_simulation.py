@@ -139,6 +139,14 @@ def test_estimation_failure_cap():
         run_estimation_scenario(sc)
 
 
+def test_prediction_failure_cap():
+    # tau = -10 censors every training subject, so no replicate can fit
+    sc = Scenario.prediction(CovariateLaw.normal(0.0, 1.0), -10.0, 30, 20, 3)
+    with pytest.raises(SimulationError) as info:
+        run_prediction_scenario(sc)
+    assert str(info.value).startswith("20 of 20 replicates failed (cap 5%); causes: ['no events: ")
+
+
 def test_wrong_study_kind_rejected():
     sc = Scenario.prediction(CovariateLaw.normal(0.0, 1.0), -2.0, 50, 3, seed=1)
     with pytest.raises(ConfigError):

@@ -166,6 +166,13 @@ def test_truncation_modes():
         Truncation.theoretical(0.0)
 
 
+def test_truncation_from_mode():
+    assert Truncation.from_mode("maxobs", None) == Truncation.max_observed()
+    assert Truncation.from_mode("theoretical", 0.1) == Truncation.theoretical(0.1)
+    with pytest.raises(ConfigError, match="unknown truncation mode 'median'"):
+        Truncation.from_mode("median", 0.1)
+
+
 def test_tail_diagnostic_uncensored():
     for n in (8, 100):
         vals = np.linspace(0, 1, n)
