@@ -5,7 +5,7 @@ of a Kaplan-Meier fit to the residuals, with a Cox proportional hazards
 comparator and a Monte Carlo engine for the reproduction studies.
 """
 
-from .cox import BaselineHazard, CoxFit, breslow, cox_partial_loglik, fit_cox, predict_cox_mean
+from .cox import BaselineHazard, CoxFit, breslow, fit_cox, predict_cox_mean
 from .distributions import (
     EULER_GAMMA,
     CensoringLaw,
@@ -48,8 +48,6 @@ from .simulation import (
     with_prediction_ratios,
 )
 from .survfit import (
-    ResidualSample,
-    RiskCounts,
     StepDistribution,
     TailDiagnostic,
     Truncation,
@@ -57,7 +55,6 @@ from .survfit import (
     km_fit,
     mean_of,
     tail_diagnostic,
-    truncation_time,
 )
 
 __version__ = "0.1.0"

@@ -107,7 +107,7 @@ def cmd_fit(args) -> int:
     data = _load_design(args)
     fit = fit_aft(
         data,
-        truncation=Truncation.from_mode(args.mode, args.epsilon),
+        truncation=Truncation(args.mode, args.epsilon),
         bootstrap=args.boot,
         seed=args.seed,
         tail_threshold=args.threshold,
@@ -141,7 +141,7 @@ def cmd_predict_cv(args) -> int:
     data = _load_design(args)
     if data.n < 3:
         raise DataError("leave-one-out cross-validation needs at least 3 subjects")
-    truncation = Truncation.from_mode(args.mode, args.epsilon)
+    truncation = Truncation(args.mode, args.epsilon)
     full = fit_aft(data, truncation=truncation)
     predictions = np.full(data.n, np.nan)
     failed = np.zeros(data.n, dtype=bool)
@@ -216,7 +216,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_km_check(args) -> int:
     data = _load_design(args)
-    truncation = Truncation.from_mode(args.mode, args.epsilon)
+    truncation = Truncation(args.mode, args.epsilon)
     fit = fit_aft(data, truncation=truncation, tail_threshold=args.threshold)
     verdict = "adequate" if fit.tail.adequate else "NOT adequate"
     print(

@@ -66,14 +66,6 @@ def _suffstats(beta, ys, ds, xs):
     return kernels.cox_suffstats(eta, ys, ds, xs, shift)
 
 
-def cox_partial_loglik(beta, data: DesignData) -> float:
-    """Breslow partial log-likelihood, log-sum-exp stabilized."""
-    beta = np.asarray(beta, dtype=np.float64)
-    ys, ds, xs = _descending(data)
-    ll, _, _ = _suffstats(beta, ys, ds, xs)
-    return ll
-
-
 def fit_cox(
     data: DesignData,
     tol: float = 1e-9,

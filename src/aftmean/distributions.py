@@ -18,6 +18,11 @@ from .errors import ConfigError
 EULER_GAMMA = 0.5772156649015329
 
 
+def _require_finite(kind: str, params: tuple[float, ...]):
+    if not all(math.isfinite(p) for p in params):
+        raise ConfigError(f"{kind} law needs finite parameters, got {params}")
+
+
 @dataclass(frozen=True)
 class ErrorLaw:
     """Zero-mean regression error law (plus the min-extreme-value special case).
@@ -30,6 +35,9 @@ class ErrorLaw:
 
     kind: str
     params: tuple[float, ...] = ()
+
+    def __post_init__(self):
+        _require_finite(self.kind, self.params)
 
     @classmethod
     def normal(cls, sigma: float) -> "ErrorLaw":
@@ -111,6 +119,9 @@ class CovariateLaw:
     kind: str
     params: tuple[float, ...]
 
+    def __post_init__(self):
+        _require_finite(self.kind, self.params)
+
     @classmethod
     def bernoulli(cls, p: float) -> "CovariateLaw":
         if not 0.0 < p < 1.0:
@@ -142,8 +153,9 @@ class CovariateLaw:
 class CensoringLaw:
     """Censoring time law: a uniform base truncated at ``tau``.
 
-    Draws are ``min(Uniform(low, high), tau)``; ``tau = inf`` reduces to the
-    base law.  Complete data has no censoring law at all (``None``).
+    Draws are ``min(Uniform(low, high), tau)`` with finite ``low < high``;
+    ``tau`` is a finite number or ``inf``, which reduces to the base law.
+    Complete data has no censoring law at all (``None``).
     """
 
     low: float
@@ -151,6 +163,9 @@ class CensoringLaw:
     tau: float
 
     def __post_init__(self):
+        _require_finite("censoring base", (self.low, self.high))
+        if not (self.tau == math.inf or math.isfinite(self.tau)):
+            raise ConfigError(f"censoring tau must be a finite number or inf, got {self.tau}")
         if not self.low < self.high:
             raise ConfigError(
                 f"censoring base needs low < high, got ({self.low}, {self.high})"

@@ -22,15 +22,7 @@ from scipy.optimize import minimize
 from . import kernels
 from .distributions import SeedSpec
 from .errors import DataError, EstimationError, GehanSolverError
-from .survfit import (
-    ResidualSample,
-    StepDistribution,
-    TailDiagnostic,
-    Truncation,
-    km_fit,
-    mean_of,
-    tail_diagnostic,
-)
+from .survfit import StepDistribution, TailDiagnostic, Truncation, km_fit, mean_of, tail_diagnostic
 
 _SLACK_REL = 1e-10  # relative slack when locating zero crossings of the profile
 _TOL = 1e-6  # d > 1: Nelder-Mead xatol, and the step that ends coordinate descent
@@ -488,8 +480,7 @@ def fit_aft(
     if bootstrap:
         SeedSpec(seed)  # a bad seed stops the run before the full-data solve
     beta, report = _solve_with_report(data, init)
-    sample = ResidualSample.from_arrays(residuals(data, beta), data.event)
-    dist = km_fit(sample, truncation)
+    dist = km_fit(residuals(data, beta), data.event, truncation)
     alpha = mean_of(dist)
     tail = tail_diagnostic(dist, tail_threshold)
     se = None
@@ -508,11 +499,12 @@ def bootstrap_se(
 ) -> np.ndarray:
     """Nonparametric bootstrap standard errors for (intercept, slopes).
 
-    Resamples subjects with replacement; resamples whose fit fails are
-    dropped, and more than 20% failures aborts with an error.  Each resample
-    is solved from ``init`` (the full-data slopes, fitted here when not
-    given); at d > 1 the OLS starts join only when that single search
-    fails or misses the score bound (see :func:`solve_gehan`).
+    Resamples subjects with replacement and fits each with :func:`fit_aft`
+    under ``truncation``; resamples whose fit fails are dropped, and more
+    than 20% failures aborts with an error.  Each resample is solved from
+    ``init`` (the full-data slopes, fitted here when not given); at d > 1
+    the OLS starts join only when that single search fails or misses the
+    score bound (see :func:`solve_gehan`).
     """
     if replicates < 2:
         raise GehanSolverError("bootstrap needs at least 2 replicates")
@@ -525,13 +517,11 @@ def bootstrap_se(
         idx = rng.integers(0, data.n, data.n)
         sub = data.subset(idx)
         try:
-            beta, _ = _solve_with_report(sub, init)
-            sample = ResidualSample.from_arrays(residuals(sub, beta), sub.event)
-            alpha = mean_of(km_fit(sample, truncation))
+            fit = fit_aft(sub, truncation=truncation, init=init)
         except EstimationError:
             failures += 1
             continue
-        estimates.append(np.concatenate([[alpha], beta]))
+        estimates.append(np.concatenate([[fit.intercept], fit.slopes]))
     if failures > 0.2 * replicates:
         raise GehanSolverError(
             f"bootstrap failed on {failures} of {replicates} resamples (>20%)"

@@ -349,7 +349,7 @@ def parse_scenario_text(text: str, *, reps_override: int | None = None,
     epsilon = epsilon_override
     if epsilon is None and mode == "theoretical":
         epsilon = _number("epsilon", entries.get("epsilon", "0.125"))
-    truncation = Truncation.from_mode(mode, epsilon)
+    truncation = Truncation(mode, epsilon)
 
     if entries.get("tau", "").lower() == "none":
         raise ConfigError("tau = none is not accepted; write cens = none for uncensored data")

@@ -1,11 +1,11 @@
 """Kaplan-Meier estimation on residuals and the residual-mean integral.
 
 The product-limit curve is turned into a proper probability distribution by
-forcing it to one at a truncation point: either the largest residual
-(practical default) or the largest point whose at-risk fraction stays above
-n**(-epsilon) (the theoretical rule).  The mass not accounted for by event
-jumps below that point sits as an atom at the truncation point, which keeps
-the mean finite.
+forcing it to one at a truncation point, named by :class:`Truncation`:
+either the largest residual (``maxobs``, the practical default) or the
+largest residual whose at-risk fraction stays at or above n**(-epsilon)
+(``theoretical``).  The mass not accounted for by event jumps below that
+point sits as an atom at the truncation point, which keeps the mean finite.
 """
 
 from __future__ import annotations
@@ -21,72 +21,33 @@ from .errors import ConfigError, DegenerateKMError
 class Truncation:
     """Where the residual distribution is forced to one.
 
-    ``max_observed`` places the remaining mass at the largest residual;
-    ``theoretical(epsilon)`` uses the largest residual whose at-risk
-    fraction is still >= n**(-epsilon).
+    ``mode`` is named as on the CLI and in scenario files: ``"maxobs"`` puts
+    the remaining mass at the largest residual, ``"theoretical"`` at the
+    largest residual whose at-risk fraction is still >= n**(-epsilon).
+    Another mode, or a theoretical epsilon outside (0, 1/8], raises
+    :class:`ConfigError`; maxobs reads no epsilon and stores None.
     """
 
-    kind: str = "max_observed"
-    epsilon: float = 0.125
+    mode: str = "maxobs"
+    epsilon: float | None = None
+
+    def __post_init__(self):
+        if self.mode == "maxobs":
+            object.__setattr__(self, "epsilon", None)
+        elif self.mode != "theoretical":
+            raise ConfigError(f"unknown truncation mode {self.mode!r}")
+        elif self.epsilon is None or not 0.0 < self.epsilon <= 0.125:
+            raise ConfigError(f"epsilon must lie in (0, 1/8], got {self.epsilon}")
+        else:
+            object.__setattr__(self, "epsilon", float(self.epsilon))
 
     @classmethod
     def max_observed(cls) -> "Truncation":
-        return cls("max_observed")
+        return cls("maxobs")
 
     @classmethod
     def theoretical(cls, epsilon: float = 0.125) -> "Truncation":
-        if not 0.0 < epsilon <= 0.125:
-            raise ConfigError(f"epsilon must lie in (0, 1/8], got {epsilon}")
-        return cls("threshold", float(epsilon))
-
-    @classmethod
-    def from_mode(cls, mode: str, epsilon: float | None) -> "Truncation":
-        """The rule named ``maxobs`` or ``theoretical``; epsilon is read only by the latter."""
-        if mode == "maxobs":
-            return cls.max_observed()
-        if mode == "theoretical":
-            return cls.theoretical(epsilon)
-        raise ConfigError(f"unknown truncation mode {mode!r}")
-
-
-@dataclass(frozen=True)
-class ResidualSample:
-    """Residual/event pairs sorted ascending, events before censorings at ties."""
-
-    values: np.ndarray
-    events: np.ndarray
-
-    @classmethod
-    def from_arrays(cls, residuals, events) -> "ResidualSample":
-        residuals = np.asarray(residuals, dtype=np.float64)
-        events = np.asarray(events).astype(bool)
-        if residuals.ndim != 1 or residuals.shape != events.shape:
-            raise ConfigError("residuals and event flags must be equal-length vectors")
-        if residuals.size == 0:
-            raise ConfigError("empty residual sample")
-        order = np.lexsort((~events, residuals))
-        return cls(residuals[order], events[order])
-
-    @property
-    def n(self) -> int:
-        return self.values.size
-
-
-@dataclass(frozen=True)
-class RiskCounts:
-    """Event and at-risk counts at each distinct residual value."""
-
-    values: np.ndarray
-    events: np.ndarray
-    at_risk: np.ndarray
-
-    @classmethod
-    def from_sample(cls, sample: ResidualSample) -> "RiskCounts":
-        n = sample.n
-        values, first = np.unique(sample.values, return_index=True)
-        d = np.add.reduceat(sample.events.astype(np.int64), first)
-        r = n - first
-        return cls(values, d, r)
+        return cls("theoretical", epsilon)
 
 
 def step_value(jumps, values, t):
@@ -115,14 +76,6 @@ class StepDistribution:
         """F(t), zero below the first jump and exactly one from the truncation on."""
         return step_value(self.support, self.cdf_values, t)
 
-    def survival(self, t):
-        return 1.0 - self.cdf(t)
-
-    @property
-    def tail_mass(self) -> float:
-        """Mass sitting at the truncation point, 1 - F(truncation-)."""
-        return float(self.masses[-1])
-
 
 @dataclass(frozen=True)
 class TailDiagnostic:
@@ -133,37 +86,39 @@ class TailDiagnostic:
     threshold: float
 
 
-def truncation_time(counts: RiskCounts, n: int, epsilon: float) -> float:
-    """Largest residual whose at-risk fraction is >= n**(-epsilon)."""
-    if not 0.0 < epsilon <= 0.125:
-        raise ConfigError(f"epsilon must lie in (0, 1/8], got {epsilon}")
-    threshold = float(n) ** (-epsilon)
-    ok = counts.at_risk / n >= threshold
-    if not ok.any():
-        return float(counts.values[-1])
-    return float(counts.values[ok].max())
-
-
-def km_fit(sample: ResidualSample, truncation: Truncation = Truncation.max_observed()) -> StepDistribution:
+def km_fit(residuals, events, truncation: Truncation = Truncation.max_observed()) -> StepDistribution:
     """Product-limit estimate of the residual distribution, truncated to mass one.
 
-    Raises :class:`DegenerateKMError` when the sample carries no events.
+    ``residuals`` and ``events`` are equal-length vectors in any order;
+    ties are counted per distinct residual.  Raises :class:`ConfigError`
+    on mismatched or empty input and :class:`DegenerateKMError` when no
+    residual is an event.
     """
-    if not sample.events.any():
+    residuals = np.asarray(residuals, dtype=np.float64)
+    events = np.asarray(events).astype(bool)
+    if residuals.ndim != 1 or residuals.shape != events.shape:
+        raise ConfigError("residuals and event flags must be equal-length vectors")
+    if residuals.size == 0:
+        raise ConfigError("empty residual sample")
+    if not events.any():
         raise DegenerateKMError(
             "degenerate KM: every observation is censored, the residual mean is undefined"
         )
-    n = sample.n
-    counts = RiskCounts.from_sample(sample)
-    if truncation.kind == "max_observed":
-        t_n = float(sample.values[-1])
+    n = residuals.size
+    order = np.argsort(residuals, kind="stable")
+    values, first = np.unique(residuals[order], return_index=True)
+    deaths = np.add.reduceat(events[order].astype(np.int64), first)
+    at_risk = n - first
+    if truncation.mode == "maxobs":
+        t_n = float(values[-1])
     else:
-        t_n = truncation_time(counts, n, truncation.epsilon)
+        # at_risk falls from n, so the rule keeps a non-empty prefix
+        keep = at_risk / n >= float(n) ** (-truncation.epsilon)
+        t_n = float(values[keep][-1])
 
-    has_event = counts.events > 0
-    u = counts.values[has_event]
-    surv = np.cumprod(1.0 - counts.events[has_event] / counts.at_risk[has_event])
-    cdf = 1.0 - surv
+    has_event = deaths > 0
+    u = values[has_event]
+    cdf = 1.0 - np.cumprod(1.0 - deaths[has_event] / at_risk[has_event])
 
     below = u < t_n
     jump_cdf = cdf[below]
@@ -182,8 +137,8 @@ def mean_of(dist: StepDistribution) -> float:
 
 
 def tail_diagnostic(dist: StepDistribution, threshold: float = 0.15) -> TailDiagnostic:
-    """Survival just before the truncation point, flagged against ``threshold``."""
-    tail = dist.tail_mass
+    """Survival just before the truncation point (its atom), flagged against ``threshold``."""
+    tail = float(dist.masses[-1])
     return TailDiagnostic(tail, tail < threshold, threshold)
 
 

@@ -56,7 +56,7 @@ def test_c01_km_against_literal_product_limit():
         ev = rng.random(n) < rng.uniform(0.3, 0.95)
         if not ev.any():
             continue
-        dist = am.km_fit(am.ResidualSample.from_arrays(vals, ev))
+        dist = am.km_fit(vals, ev)
         delta = ev.astype(float)
         for t in dist.support[:-1]:
             worst = max(worst, abs(dist.cdf(t) - km_cdf_literal(t, vals, delta)))
@@ -65,7 +65,7 @@ def test_c01_km_against_literal_product_limit():
             abs(am.mean_of(dist) - km_mean_literal(vals, delta, dist.truncation)),
         )
         checked += 1
-    hand = am.mean_of(am.km_fit(am.ResidualSample.from_arrays([1, 2, 3, 4], [1, 0, 1, 0])))
+    hand = am.mean_of(am.km_fit([1, 2, 3, 4], [1, 0, 1, 0]))
     _report(
         "C1",
         [
@@ -402,7 +402,7 @@ def test_c13_property_suite():
 
     # KM equals the ECDF without censoring
     vals = rng.normal(size=45)
-    dist = am.km_fit(am.ResidualSample.from_arrays(vals, np.ones(45)))
+    dist = am.km_fit(vals, np.ones(45))
     ecdf_err = float(np.max(np.abs(dist.cdf_values - np.arange(1, 46) / 45)))
     mean_err = abs(am.mean_of(dist) - vals.mean())
     checks.append((ecdf_err <= 1e-12 and mean_err <= 1e-12, f"KM=ECDF error {ecdf_err:.1e}"))

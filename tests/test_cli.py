@@ -442,6 +442,29 @@ def test_cmd_simulate_bad_number_exits_config_error(tmp_path, capsys, old, new, 
     assert f"{key!r}" in err and f"{value!r}" in err
 
 
+NON_FINITE = [
+    ("x2 = normal(0,1)", "x2 = uniform(-inf,2)"),
+    ("tau = 4", "tau = 4\ncens = uniform(0,inf)"),
+    ("error = normal(0.5)", "error = normal(nan)"),
+    ("error = normal(0.5)", "error = normal(inf)"),
+    ("error = normal(0.5)", "error = t(inf)"),
+    ("error = normal(0.5)", "error = laplace(nan)"),
+    ("x2 = normal(0,1)", "x2 = normal(nan,1)"),
+    ("tau = 4", "tau = nan"),
+    ("tau = 4", "tau = -inf"),
+]
+
+
+@pytest.mark.parametrize(
+    "old, new", NON_FINITE, ids=[new.split("\n")[-1].replace(" ", "") for _, new in NON_FINITE]
+)
+def test_cmd_simulate_non_finite_law_exits_config_error(tmp_path, capsys, old, new):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(TAU4_BODY.replace(old, new))
+    assert _simulate_csv(cfg, tmp_path / "out.csv")[0] == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("configuration error: ")
+
+
 @pytest.mark.parametrize(
     "command",
     [

@@ -2,35 +2,38 @@ import numpy as np
 import pytest
 
 from aftmean.errors import ConfigError, DegenerateKMError
-from aftmean.survfit import (
-    ResidualSample,
-    RiskCounts,
-    Truncation,
-    curve_points,
-    km_fit,
-    mean_of,
-    tail_diagnostic,
-    truncation_time,
-)
+from aftmean.survfit import Truncation, curve_points, km_fit, mean_of, tail_diagnostic
 from oracles import km_cdf_literal, km_mean_literal
 
 
-def sample_of(values, events):
-    return ResidualSample.from_arrays(np.asarray(values, float), np.asarray(events))
+@pytest.mark.parametrize("truncation", [Truncation.max_observed(), Truncation.theoretical(0.1)])
+def test_fit_ignores_input_order(rng, truncation):
+    # residuals on a coarse grid tie often, events and censorings alike
+    for _ in range(50):
+        n = int(rng.integers(2, 40))
+        vals = rng.integers(0, 8, n) / 4.0
+        ev = rng.random(n) < 0.6
+        ev[0] = True
+        dist = km_fit(vals, ev, truncation)
+        perm = rng.permutation(n)
+        shuffled = km_fit(vals[perm], ev[perm], truncation)
+        for field in ("support", "masses", "cdf_values"):
+            np.testing.assert_array_equal(getattr(shuffled, field), getattr(dist, field))
+        assert shuffled.truncation == dist.truncation
 
 
-def test_sorting_and_tie_order():
-    s = sample_of([3.0, 1.0, 2.0, 2.0], [0, 1, 0, 1])
-    np.testing.assert_array_equal(s.values, [1.0, 2.0, 2.0, 3.0])
-    # at the tie, the event comes first
-    np.testing.assert_array_equal(s.events, [True, True, False, False])
+def test_input_shape_checks():
+    with pytest.raises(ConfigError, match="equal-length"):
+        km_fit([1.0, 2.0], [1])
+    with pytest.raises(ConfigError, match="empty"):
+        km_fit([], [])
 
 
 def test_uncensored_km_equals_ecdf(rng):
     for _ in range(20):
         n = int(rng.integers(3, 40))
         vals = rng.normal(size=n)
-        dist = km_fit(sample_of(vals, np.ones(n)))
+        dist = km_fit(vals, np.ones(n))
         srt = np.sort(vals)
         np.testing.assert_allclose(dist.support, srt)
         np.testing.assert_allclose(dist.cdf_values, np.arange(1, n + 1) / n, atol=1e-12)
@@ -38,16 +41,16 @@ def test_uncensored_km_equals_ecdf(rng):
 
 
 def test_four_point_hand_example():
-    dist = km_fit(sample_of([1, 2, 3, 4], [1, 0, 1, 0]))
+    dist = km_fit([1, 2, 3, 4], [1, 0, 1, 0])
     np.testing.assert_allclose(dist.support, [1.0, 3.0, 4.0])
     np.testing.assert_allclose(dist.masses, [0.25, 0.375, 0.375])
-    assert dist.survival(1.0) == pytest.approx(0.75)
-    assert dist.survival(3.0) == pytest.approx(0.375)
+    assert 1 - dist.cdf(1.0) == pytest.approx(0.75)
+    assert 1 - dist.cdf(3.0) == pytest.approx(0.375)
     assert mean_of(dist) == 2.875  # exact in binary
 
 
 def test_cdf_zero_below_first_jump():
-    dist = km_fit(sample_of([1, 2, 3], [1, 1, 1]))
+    dist = km_fit([1, 2, 3], [1, 1, 1])
     assert dist.cdf(0.999) == 0.0
     assert dist.cdf(-100.0) == 0.0
     assert dist.cdf(3.0) == 1.0
@@ -56,7 +59,7 @@ def test_cdf_zero_below_first_jump():
 
 def test_all_censored_is_degenerate():
     with pytest.raises(DegenerateKMError):
-        km_fit(sample_of([1, 2, 3], [0, 0, 0]))
+        km_fit([1, 2, 3], [0, 0, 0])
 
 
 def test_masses_nonnegative_sum_one(rng):
@@ -66,7 +69,7 @@ def test_masses_nonnegative_sum_one(rng):
         ev = rng.random(n) < 0.6
         if not ev.any():
             continue
-        dist = km_fit(sample_of(vals, ev))
+        dist = km_fit(vals, ev)
         assert (dist.masses >= -1e-15).all()
         assert dist.masses.sum() == pytest.approx(1.0, abs=1e-12)
         assert (np.diff(dist.cdf_values) >= -1e-15).all()
@@ -82,7 +85,7 @@ def test_against_literal_product_limit(rng):
         if not ev.any():
             continue
         checked += 1
-        dist = km_fit(sample_of(vals, ev))
+        dist = km_fit(vals, ev)
         delta = ev.astype(float)
         # compare F at every jump and between jumps, strictly below truncation
         queries = [u for u in dist.support[:-1]]
@@ -103,9 +106,9 @@ def test_mean_translation_equivariance(rng):
     vals = rng.normal(size=30)
     ev = rng.random(30) < 0.7
     ev[np.argmax(vals)] = True  # keep the atom comparable
-    base = mean_of(km_fit(sample_of(vals, ev)))
+    base = mean_of(km_fit(vals, ev))
     for shift in (-5.0, 0.25, 12.0):
-        shifted = mean_of(km_fit(sample_of(vals + shift, ev)))
+        shifted = mean_of(km_fit(vals + shift, ev))
         assert shifted == pytest.approx(base + shift, abs=1e-12)
 
 
@@ -113,11 +116,11 @@ def test_late_censoring_leaves_lower_curve_alone(rng):
     vals = rng.normal(size=25)
     ev = rng.random(25) < 0.7
     ev[np.argmax(vals)] = True
-    dist = km_fit(sample_of(vals, ev))
+    dist = km_fit(vals, ev)
     # append a censored subject strictly beyond the largest event time
     vals2 = np.append(vals, vals.max() + 1.0)
     ev2 = np.append(ev, False)
-    dist2 = km_fit(sample_of(vals2, ev2))
+    dist2 = km_fit(vals2, ev2)
     for t in dist.support[:-1]:
         if t < vals.max():
             # risk sets below the max gain one subject... the curve must
@@ -132,30 +135,24 @@ def test_late_censoring_leaves_lower_curve_alone(rng):
 
 
 def test_truncation_time_direct_scan():
-    s = sample_of([0.1, 0.5, 0.9, 1.3], [1, 1, 1, 1])
-    counts = RiskCounts.from_sample(s)
+    vals = [0.1, 0.5, 0.9, 1.3]
     # n=4, eps=1/8: threshold 4**-0.125 ~ 0.841 -> need r(u) >= 3.37, so r=4
-    t = truncation_time(counts, 4, 0.125)
-    scan = max(
-        u
-        for u, r in zip(counts.values, counts.at_risk)
-        if r / 4 >= 4 ** (-0.125)
-    )
+    t = km_fit(vals, [1, 1, 1, 1], Truncation.theoretical(0.125)).truncation
+    scan = max(u for u in vals if sum(v >= u for v in vals) / 4 >= 4 ** (-0.125))
     assert t == scan == 0.1
 
 
 def test_truncation_eps_to_zero_gives_smallest():
-    s = sample_of([2.0, 3.0, 5.0, 7.0], [1, 0, 1, 0])
-    counts = RiskCounts.from_sample(s)
-    assert truncation_time(counts, 4, 1e-9) == 2.0
+    dist = km_fit([2.0, 3.0, 5.0, 7.0], [1, 0, 1, 0], Truncation.theoretical(1e-9))
+    assert dist.truncation == 2.0
 
 
 def test_truncation_modes():
     vals = [0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0]
     ev = [1, 1, 1, 1, 1, 1, 1, 0]
-    dist = km_fit(sample_of(vals, ev), Truncation.max_observed())
+    dist = km_fit(vals, ev, Truncation.max_observed())
     assert dist.truncation == 7.0
-    th = km_fit(sample_of(vals, ev), Truncation.theoretical(0.125))
+    th = km_fit(vals, ev, Truncation.theoretical(0.125))
     # n=8: threshold 8**-1/8 = 0.771 -> r >= 6.17 -> largest value with r >= 7
     assert th.truncation == 1.0
     assert th.cdf(1.0) == 1.0
@@ -166,25 +163,32 @@ def test_truncation_modes():
         Truncation.theoretical(0.0)
 
 
-def test_truncation_from_mode():
-    assert Truncation.from_mode("maxobs", None) == Truncation.max_observed()
-    assert Truncation.from_mode("theoretical", 0.1) == Truncation.theoretical(0.1)
-    with pytest.raises(ConfigError, match="unknown truncation mode 'median'"):
-        Truncation.from_mode("median", 0.1)
+def test_truncation_checks_its_mode_and_epsilon():
+    assert Truncation("maxobs", 0.5) == Truncation.max_observed()
+    assert Truncation.max_observed().epsilon is None
+    assert Truncation("theoretical", 0.1) == Truncation.theoretical(0.1)
+    for mode in ("bogus", "median", "threshold", "max_observed"):
+        with pytest.raises(ConfigError, match=f"unknown truncation mode '{mode}'"):
+            Truncation(mode, 0.1)
+    with pytest.raises(ConfigError, match="unknown truncation mode 'bogus'"):
+        Truncation("bogus")
+    for epsilon in (None, 0.5, 0.0, float("nan")):
+        with pytest.raises(ConfigError, match="epsilon must lie in"):
+            Truncation("theoretical", epsilon)
 
 
 def test_tail_diagnostic_uncensored():
     for n in (8, 100):
         vals = np.linspace(0, 1, n)
-        diag = tail_diagnostic(km_fit(sample_of(vals, np.ones(n))))
+        diag = tail_diagnostic(km_fit(vals, np.ones(n)))
         assert diag.tail_value == pytest.approx(1.0 / n, abs=1e-12)
         assert diag.adequate
-    diag6 = tail_diagnostic(km_fit(sample_of(np.arange(6.0), np.ones(6))))
+    diag6 = tail_diagnostic(km_fit(np.arange(6.0), np.ones(6)))
     assert not diag6.adequate  # 1/6 > 0.15
 
 
 def test_tail_diagnostic_heavy_censoring():
-    dist = km_fit(sample_of([1, 2, 2, 2], [1, 0, 0, 0]))
+    dist = km_fit([1, 2, 2, 2], [1, 0, 0, 0])
     diag = tail_diagnostic(dist)
     assert diag.tail_value == pytest.approx(0.75)
     assert not diag.adequate
@@ -192,7 +196,7 @@ def test_tail_diagnostic_heavy_censoring():
 
 
 def test_curve_points_layout():
-    dist = km_fit(sample_of([1, 2, 3, 4], [1, 0, 1, 0]))
+    dist = km_fit([1, 2, 3, 4], [1, 0, 1, 0])
     pts = curve_points(dist)
     assert pts.shape == (3, 3)
     np.testing.assert_allclose(pts[:, 0], dist.support)
