@@ -201,11 +201,11 @@ def cmd_simulate(args) -> int:
         table = run_estimation_scenario(scenario)
     else:
         table = run_prediction_scenario(scenario)
-        if scenario.uncensored:
-            table = with_prediction_ratios(table, table)
-        else:
-            baseline = run_prediction_scenario(replace(scenario, censoring=None))
-            table = with_prediction_ratios(table, baseline)
+        baseline = (
+            table if scenario.uncensored
+            else run_prediction_scenario(replace(scenario, censoring=None))
+        )
+        table = with_prediction_ratios(table, baseline)
     csv_text = summary_csv_text(table)
     with open(args.output, "w", newline="") as handle:
         handle.write(csv_text)

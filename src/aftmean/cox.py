@@ -15,7 +15,6 @@ import numpy as np
 from . import kernels
 from .errors import CoxFitError
 from .gehan import DesignData
-from .survfit import step_value
 
 # Test rows per block in predict_cox_mean: each block of survival values
 # exp(-Lambda_k * e^eta) is written into one PREDICT_BLOCK x (baseline jump
@@ -29,9 +28,6 @@ class BaselineHazard:
 
     times: np.ndarray  # distinct event times, ascending
     cumhaz: np.ndarray
-
-    def cumulative(self, t):
-        return step_value(self.times, self.cumhaz, t)
 
 
 @dataclass(frozen=True)

@@ -24,121 +24,132 @@ def _require_finite(kind: str, params: tuple[float, ...]):
 
 
 @dataclass(frozen=True)
-class ErrorLaw:
-    """Zero-mean regression error law (plus the min-extreme-value special case).
+class _Law:
+    """A law named by its scenario-file word: ``kind`` and float ``params``.
 
-    Variants: ``normal(sigma)``, ``gumbel_max(sigma)`` (location pinned to
-    -sigma * EULER_GAMMA so the mean is exactly zero), ``laplace(scale)``,
-    ``logistic(scale)``, ``student_t(df)``, and ``extreme_value_min`` with
-    distribution function F(t) = 1 - exp(-e^t) and mean -EULER_GAMMA.
+    A subclass's ``RULES`` maps each kind to (parameter count, range test,
+    the range in words).  An unknown kind, a wrong parameter count, or a
+    parameter that is not finite or out of range raises :class:`ConfigError`.
     """
 
     kind: str
     params: tuple[float, ...] = ()
+    RULES = {}
 
     def __post_init__(self):
-        _require_finite(self.kind, self.params)
-
-    @classmethod
-    def normal(cls, sigma: float) -> "ErrorLaw":
-        if sigma <= 0:
-            raise ConfigError(f"normal error needs sigma > 0, got {sigma}")
-        return cls("normal", (float(sigma),))
-
-    @classmethod
-    def gumbel_max(cls, sigma: float) -> "ErrorLaw":
-        if sigma <= 0:
-            raise ConfigError(f"gumbel error needs sigma > 0, got {sigma}")
-        return cls("gumbel_max", (-float(sigma) * EULER_GAMMA, float(sigma)))
-
-    @classmethod
-    def laplace(cls, scale: float) -> "ErrorLaw":
-        if scale <= 0:
-            raise ConfigError(f"laplace error needs scale > 0, got {scale}")
-        return cls("laplace", (float(scale),))
-
-    @classmethod
-    def logistic(cls, scale: float) -> "ErrorLaw":
-        if scale <= 0:
-            raise ConfigError(f"logistic error needs scale > 0, got {scale}")
-        return cls("logistic", (float(scale),))
-
-    @classmethod
-    def student_t(cls, df: float) -> "ErrorLaw":
-        if df <= 0:
-            raise ConfigError(f"student-t error needs df > 0, got {df}")
-        return cls("student_t", (float(df),))
-
-    @classmethod
-    def extreme_value_min(cls) -> "ErrorLaw":
-        return cls("extreme_value_min", ())
-
-    def mean(self) -> float:
-        """Exact analytic mean."""
-        if self.kind == "gumbel_max":
-            mu, sigma = self.params
-            return mu + sigma * EULER_GAMMA
-        if self.kind == "extreme_value_min":
-            return -EULER_GAMMA
-        return 0.0
-
-    def variance(self) -> float:
-        """Exact analytic variance."""
-        if self.kind == "normal":
-            return self.params[0] ** 2
-        if self.kind == "gumbel_max":
-            return self.params[1] ** 2 * math.pi**2 / 6.0
-        if self.kind == "laplace":
-            return 2.0 * self.params[0] ** 2
-        if self.kind == "logistic":
-            return self.params[0] ** 2 * math.pi**2 / 3.0
-        if self.kind == "student_t":
-            df = self.params[0]
-            return df / (df - 2.0) if df > 2.0 else math.inf
-        return math.pi**2 / 6.0  # extreme_value_min
-
-    def sample(self, rng: np.random.Generator, size=None):
-        if self.kind == "normal":
-            return rng.normal(0.0, self.params[0], size)
-        if self.kind == "gumbel_max":
-            return rng.gumbel(self.params[0], self.params[1], size)
-        if self.kind == "laplace":
-            return rng.laplace(0.0, self.params[0], size)
-        if self.kind == "logistic":
-            return rng.logistic(0.0, self.params[0], size)
-        if self.kind == "student_t":
-            return rng.standard_t(self.params[0], size)
-        # min-extreme-value: negate a standard max-Gumbel draw
-        return -rng.gumbel(0.0, 1.0, size)
+        if self.kind not in self.RULES:
+            raise ConfigError(f"unknown law {self.kind!r}, not one of {sorted(self.RULES)}")
+        count, in_range, needs = self.RULES[self.kind]
+        if len(self.params) != count:
+            raise ConfigError(f"{self.kind} law takes {count} parameter(s), got {self.params}")
+        params = tuple(float(p) for p in self.params)
+        _require_finite(self.kind, params)
+        if not in_range(*params):
+            raise ConfigError(f"{self.kind} law needs {needs}, got {params}")
+        object.__setattr__(self, "params", params)
 
 
 @dataclass(frozen=True)
-class CovariateLaw:
-    """Covariate law: ``bernoulli(p)``, ``normal(mu, sigma)``, or ``uniform(a, b)``."""
+class ErrorLaw(_Law):
+    """Regression error law, named as in scenario files.
 
-    kind: str
-    params: tuple[float, ...]
+    Kinds: ``normal(sigma)``, ``gumbel(sigma)`` (max-extreme-value with
+    location -sigma * EULER_GAMMA, so the mean is exactly zero),
+    ``laplace(scale)``, ``logistic(scale)``, ``t(df)``, and ``evmin`` with
+    distribution function F(t) = 1 - exp(-e^t) and mean -EULER_GAMMA.  The
+    named constructors (``gumbel_max``, ``student_t``, ...) build the same
+    values as their words.
+    """
 
-    def __post_init__(self):
-        _require_finite(self.kind, self.params)
+    RULES = {
+        "normal": (1, lambda sigma: sigma > 0, "sigma > 0"),
+        "gumbel": (1, lambda sigma: sigma > 0, "sigma > 0"),
+        "laplace": (1, lambda scale: scale > 0, "scale > 0"),
+        "logistic": (1, lambda scale: scale > 0, "scale > 0"),
+        "t": (1, lambda df: df > 0, "df > 0"),
+        "evmin": (0, lambda: True, "no parameters"),
+    }
+
+    @classmethod
+    def normal(cls, sigma: float) -> "ErrorLaw":
+        return cls("normal", (sigma,))
+
+    @classmethod
+    def gumbel_max(cls, sigma: float) -> "ErrorLaw":
+        return cls("gumbel", (sigma,))
+
+    @classmethod
+    def laplace(cls, scale: float) -> "ErrorLaw":
+        return cls("laplace", (scale,))
+
+    @classmethod
+    def logistic(cls, scale: float) -> "ErrorLaw":
+        return cls("logistic", (scale,))
+
+    @classmethod
+    def student_t(cls, df: float) -> "ErrorLaw":
+        return cls("t", (df,))
+
+    @classmethod
+    def extreme_value_min(cls) -> "ErrorLaw":
+        return cls("evmin")
+
+    def mean(self) -> float:
+        """Exact analytic mean."""
+        return -EULER_GAMMA if self.kind == "evmin" else 0.0
+
+    def variance(self) -> float:
+        """Exact analytic variance."""
+        if self.kind == "evmin":
+            return math.pi**2 / 6.0
+        p = self.params[0]
+        if self.kind == "normal":
+            return p**2
+        if self.kind == "gumbel":
+            return p**2 * math.pi**2 / 6.0
+        if self.kind == "laplace":
+            return 2.0 * p**2
+        if self.kind == "logistic":
+            return p**2 * math.pi**2 / 3.0
+        return p / (p - 2.0) if p > 2.0 else math.inf  # t
+
+    def sample(self, rng: np.random.Generator, size=None):
+        if self.kind == "evmin":  # negate a standard max-Gumbel draw
+            return -rng.gumbel(0.0, 1.0, size)
+        p = self.params[0]
+        if self.kind == "normal":
+            return rng.normal(0.0, p, size)
+        if self.kind == "gumbel":
+            return rng.gumbel(-p * EULER_GAMMA, p, size)
+        if self.kind == "laplace":
+            return rng.laplace(0.0, p, size)
+        if self.kind == "logistic":
+            return rng.logistic(0.0, p, size)
+        return rng.standard_t(p, size)  # t
+
+
+@dataclass(frozen=True)
+class CovariateLaw(_Law):
+    """Covariate law, named as in scenario files: ``bernoulli(p)``, ``normal(mu, sigma)``
+    or ``uniform(a, b)``."""
+
+    RULES = {
+        "bernoulli": (1, lambda p: 0.0 < p < 1.0, "0 < p < 1"),
+        "normal": (2, lambda mu, sigma: sigma > 0, "sigma > 0"),
+        "uniform": (2, lambda a, b: a < b, "a < b"),
+    }
 
     @classmethod
     def bernoulli(cls, p: float) -> "CovariateLaw":
-        if not 0.0 < p < 1.0:
-            raise ConfigError(f"bernoulli covariate needs 0 < p < 1, got {p}")
-        return cls("bernoulli", (float(p),))
+        return cls("bernoulli", (p,))
 
     @classmethod
     def normal(cls, mu: float, sigma: float) -> "CovariateLaw":
-        if sigma <= 0:
-            raise ConfigError(f"normal covariate needs sigma > 0, got {sigma}")
-        return cls("normal", (float(mu), float(sigma)))
+        return cls("normal", (mu, sigma))
 
     @classmethod
     def uniform(cls, a: float, b: float) -> "CovariateLaw":
-        if not a < b:
-            raise ConfigError(f"uniform covariate needs a < b, got ({a}, {b})")
-        return cls("uniform", (float(a), float(b)))
+        return cls("uniform", (a, b))
 
     def sample(self, rng: np.random.Generator, size=None):
         if self.kind == "bernoulli":
@@ -221,14 +232,15 @@ class SubjectModel:
         if len(self.slopes) != len(self.covariates):
             raise ConfigError("one covariate law per slope is required")
 
-    @property
-    def shift(self) -> float:
-        return self.intercept - self.error.mean()
+    def _draw(self, rng: np.random.Generator, size: int):
+        x = np.column_stack([law.sample(rng, size) for law in self.covariates])
+        shift = self.intercept - self.error.mean()
+        t = shift + x @ np.asarray(self.slopes) + self.error.sample(rng, size)
+        return t, x
 
     def sample(self, rng: np.random.Generator, size: int):
         """Draw ``size`` subjects; returns (y, event, x) arrays."""
-        x = np.column_stack([law.sample(rng, size) for law in self.covariates])
-        t = self.shift + x @ np.asarray(self.slopes) + self.error.sample(rng, size)
+        t, x = self._draw(rng, size)
         if self.censoring is None:
             return t, np.ones(size, dtype=bool), x
         c = self.censoring.sample(rng, size)
@@ -236,7 +248,4 @@ class SubjectModel:
 
     def sample_true(self, rng: np.random.Generator, size: int):
         """Draw ``size`` uncensored subjects; returns (t, x)."""
-        x = np.column_stack([law.sample(rng, size) for law in self.covariates])
-        t = self.shift + x @ np.asarray(self.slopes) + self.error.sample(rng, size)
-        return t, x
-
+        return self._draw(rng, size)

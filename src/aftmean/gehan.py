@@ -315,15 +315,16 @@ def _line_search_d1(y, delta, x, start):
     return beta1, probes + bp.size
 
 
-def _ols_event_slopes(data: DesignData) -> np.ndarray | None:
+def event_ols(data: DesignData) -> np.ndarray | None:
+    """Least squares of time on an intercept and the covariates over the events.
+
+    Returns (intercept, slopes...), or None when those rows leave the
+    design rank deficient (fewer events than coefficients included).
+    """
     ev = data.event
-    if ev.sum() < data.d + 1:
-        return None
     a = np.column_stack([np.ones(int(ev.sum())), data.covariates[ev]])
     coef, _, rank, _ = np.linalg.lstsq(a, data.time[ev], rcond=None)
-    if rank < a.shape[1]:
-        return None
-    return coef[1:]
+    return coef if rank == a.shape[1] else None
 
 
 def _solve_with_report(data: DesignData, init) -> tuple[np.ndarray, SolverReport]:
@@ -344,8 +345,8 @@ def _solve_with_report(data: DesignData, init) -> tuple[np.ndarray, SolverReport
         if init is not None:
             start = float(init[0])
         else:
-            ols = _ols_event_slopes(data)
-            start = 0.0 if ols is None else float(ols[0])
+            ols = event_ols(data)
+            start = 0.0 if ols is None else float(ols[1])
         found = _line_search_d1(y, delta, x[:, 0], start)
         if found is None:
             raise GehanSolverError(
@@ -354,9 +355,10 @@ def _solve_with_report(data: DesignData, init) -> tuple[np.ndarray, SolverReport
         beta1, iterations = found
         return _checked_report(data, np.array([beta1]), iterations, "bisection+local-scan")
 
-    ols = _ols_event_slopes(data)
+    ols = event_ols(data)
     if ols is not None:
-        ols_starts = [ols, ols + 1.0, ols - 1.0]
+        slopes = ols[1:]
+        ols_starts = [slopes, slopes + 1.0, slopes - 1.0]
     else:
         ols_starts = [np.ones(d), -np.ones(d)]
     # A warm start (a resample or fold from the full-data slopes) is solved

@@ -8,7 +8,6 @@ failures aborts the run.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass, replace
 
@@ -17,28 +16,29 @@ import numpy as np
 from .cox import fit_cox, predict_cox_mean
 from .distributions import CensoringLaw, CovariateLaw, ErrorLaw, SeedSpec, SubjectModel
 from .errors import ConfigError, DataError, EstimationError, SimulationError
-from .gehan import DesignData, fit_aft, predict_aft
+from .gehan import DesignData, event_ols, fit_aft, predict_aft
 from .survfit import Truncation
 
 MAX_FAILURE_FRACTION = 0.05
 
 
-@dataclass(frozen=True)
-class Scenario:
-    """One simulation setting: laws, truth, sample size, replication plan."""
+@dataclass(frozen=True, kw_only=True)
+class Scenario(SubjectModel):
+    """One simulation setting: a subject model plus a sample size and replication plan.
 
-    study: str  # "estimation" | "prediction"
-    error: ErrorLaw
-    covariates: tuple[CovariateLaw, ...]
-    slopes: tuple[float, ...]
-    intercept: float
-    censoring: CensoringLaw | None
+    The model fields (intercept, slopes, error, covariates, censoring) are
+    inherited, so replicates draw from ``scenario.sample`` directly.
+    ``study`` is ``"estimation"`` or ``"prediction"``.
+    """
+
+    study: str
     n: int
     replications: int
     seed: int
     truncation: Truncation = Truncation.max_observed()
 
     def __post_init__(self):
+        super().__post_init__()
         if self.study not in ("estimation", "prediction"):
             raise ConfigError(f"unknown study kind {self.study!r}")
         if self.replications < 1:
@@ -61,14 +61,13 @@ class Scenario:
     ) -> "Scenario":
         """Intercept study: T = 2 + X1 + X2 + error, C ~ U(0,5) ^ tau."""
         x1 = x1 or CovariateLaw.bernoulli(0.5)
-        cens = CensoringLaw.uniform(censor_base[0], censor_base[1], tau)
         return cls(
             study="estimation",
             error=error,
             covariates=(x1, x2),
             slopes=(1.0, 1.0),
             intercept=2.0 + error.mean(),
-            censoring=cens,
+            censoring=CensoringLaw.uniform(*censor_base, tau),
             n=n,
             replications=replications,
             seed=seed,
@@ -91,11 +90,7 @@ class Scenario:
         ``tau = None`` is the no-censoring row of the comparison table.
         """
         error = ErrorLaw.extreme_value_min()
-        cens = (
-            None
-            if tau is None
-            else CensoringLaw.uniform(censor_base[0], censor_base[1], tau)
-        )
+        cens = None if tau is None else CensoringLaw.uniform(*censor_base, tau)
         return cls(
             study="prediction",
             error=error,
@@ -107,15 +102,6 @@ class Scenario:
             replications=replications,
             seed=seed,
             truncation=truncation,
-        )
-
-    def subject_model(self) -> SubjectModel:
-        return SubjectModel(
-            intercept=self.intercept,
-            slopes=self.slopes,
-            error=self.error,
-            covariates=self.covariates,
-            censoring=self.censoring,
         )
 
     @property
@@ -160,12 +146,11 @@ def censoring_rate(data: DesignData) -> float:
 
 
 def ols_fit(data: DesignData) -> OlsFit:
-    """Ordinary least squares on uncensored data (normal-equations solution)."""
+    """Ordinary least squares on uncensored data."""
     if not data.event.all():
         raise DataError("OLS baseline requires fully uncensored data")
-    a = np.column_stack([np.ones(data.n), data.covariates])
-    coef, _, rank, _ = np.linalg.lstsq(a, data.time, rcond=None)
-    if rank < a.shape[1]:
+    coef = event_ols(data)
+    if coef is None:
         raise DataError("rank-deficient design matrix")
     return OlsFit(float(coef[0]), coef[1:])
 
@@ -177,11 +162,10 @@ def _replicate(scenario: Scenario, parameters, estimate) -> SummaryTable:
     data)`` may draw more from the same stream and returns one value per
     parameter, or raises :class:`EstimationError` to drop the replicate.
     """
-    model = scenario.subject_model()
     rows, rates, causes = [], [], []
     for r in range(scenario.replications):
         rng = SeedSpec(scenario.seed, r).generator()
-        data = DesignData(*model.sample(rng, scenario.n))
+        data = DesignData(*scenario.sample(rng, scenario.n))
         rates.append(censoring_rate(data))
         try:
             rows.append(estimate(rng, data))
@@ -234,11 +218,10 @@ def run_prediction_scenario(scenario: Scenario) -> SummaryTable:
     """
     if scenario.study != "prediction":
         raise ConfigError("scenario is not a prediction study")
-    model = scenario.subject_model()
     with_ols = scenario.uncensored
 
     def estimate(rng, data):
-        t_star, x_star = model.sample_true(rng, scenario.n)
+        t_star, x_star = scenario.sample_true(rng, scenario.n)
         aft = fit_aft(data, truncation=scenario.truncation)
         mses = [mse_p(predict_aft(aft, x_star), t_star),
                 mse_p(predict_cox_mean(fit_cox(data), x_star), t_star)]
@@ -265,22 +248,6 @@ def with_prediction_ratios(table: SummaryTable, baseline: SummaryTable) -> Summa
 # ---------------------------------------------------------------------------
 # Flat key=value scenario files and the summary CSV layouts.
 
-_ERROR_FACTORIES = {
-    "normal": lambda p: ErrorLaw.normal(*p),
-    "gumbel": lambda p: ErrorLaw.gumbel_max(*p),
-    "laplace": lambda p: ErrorLaw.laplace(*p),
-    "logistic": lambda p: ErrorLaw.logistic(*p),
-    "t": lambda p: ErrorLaw.student_t(*p),
-    "evmin": lambda p: ErrorLaw.extreme_value_min(),
-}
-
-_COVARIATE_FACTORIES = {
-    "bernoulli": lambda p: CovariateLaw.bernoulli(*p),
-    "normal": lambda p: CovariateLaw.normal(*p),
-    "uniform": lambda p: CovariateLaw.uniform(*p),
-}
-
-
 def _number(key: str, text: str, kind=float):
     try:
         return kind(text)
@@ -289,24 +256,32 @@ def _number(key: str, text: str, kind=float):
         raise ConfigError(f"scenario key {key!r}: {text.strip()!r} is not {noun}") from None
 
 
-def _parse_law(key: str, text: str, factories):
-    text = text.strip()
-    if "(" in text:
-        name, _, rest = text.partition("(")
+def _parse_law(key: str, text: str, law):
+    """Read ``name(p1, p2, ...)`` or a bare ``name`` as ``law(name, params)``.
+
+    ``law`` checks the name and parameters itself; the scenario key is put
+    in front of any :class:`ConfigError` it raises.
+    """
+    name, paren, rest = text.strip().partition("(")
+    params = ()
+    if paren:
         rest = rest.rstrip()
         if not rest.endswith(")"):
-            raise ConfigError(f"scenario key {key!r}: malformed law {text!r}")
+            raise ConfigError(f"scenario key {key!r}: malformed law {text.strip()!r}")
         args = rest[:-1].strip()
         params = tuple(_number(key, v) for v in args.split(",")) if args else ()
-    else:
-        name, params = text, ()
-    name = name.strip().lower()
-    if name not in factories:
-        raise ConfigError(f"scenario key {key!r}: unknown law {name!r}")
     try:
-        return factories[name](params)
-    except TypeError as exc:
-        raise ConfigError(f"scenario key {key!r}: bad parameters for law {text!r}") from exc
+        return law(name.strip().lower(), params)
+    except ConfigError as exc:
+        raise ConfigError(f"scenario key {key!r}: {exc}") from None
+
+
+def _censor_base(kind: str, params: tuple[float, ...]) -> tuple[float, float]:
+    """The ``cens`` key's ``uniform(low, high)``, checked as a censoring law."""
+    if kind != "uniform" or len(params) != 2:
+        raise ConfigError("censoring base must be uniform(low, high)")
+    law = CensoringLaw.uniform(*params)
+    return law.low, law.high
 
 
 _SCENARIO_KEYS = {
@@ -357,21 +332,18 @@ def parse_scenario_text(text: str, *, reps_override: int | None = None,
     cens = entries.get("cens", "").lower()
     base = {}  # an absent ``cens`` keeps the study's default base
     if cens not in ("", "none"):
-        law = _parse_law("cens", cens, _COVARIATE_FACTORIES)
-        if law.kind != "uniform":
-            raise ConfigError("censoring base must be a uniform law")
-        base = {"censor_base": law.params}
+        base = {"censor_base": _parse_law("cens", cens, _censor_base)}
 
     if study == "estimation":
-        error = _parse_law("error", need("error"), _ERROR_FACTORIES)
-        x2 = _parse_law("x2", need("x2"), _COVARIATE_FACTORIES)
-        x1 = _parse_law("x1", entries["x1"], _COVARIATE_FACTORIES) if "x1" in entries else None
+        error = _parse_law("error", need("error"), ErrorLaw)
+        x2 = _parse_law("x2", need("x2"), CovariateLaw)
+        x1 = _parse_law("x1", entries["x1"], CovariateLaw) if "x1" in entries else None
         scenario = Scenario.estimation(
             error, x2, tau, n, reps, seed, x1=x1,
             truncation=truncation, **base,
         )
     elif study == "prediction":
-        x = _parse_law("x", need("x"), _COVARIATE_FACTORIES)
+        x = _parse_law("x", need("x"), CovariateLaw)
         scenario = Scenario.prediction(x, tau, n, reps, seed, truncation=truncation, **base)
     else:
         raise ConfigError(f"unknown study {study!r}")
@@ -388,20 +360,15 @@ def _fmt(v) -> str:
 
 def summary_csv_text(table: SummaryTable) -> str:
     """SummaryTable as CSV, matching the reproduction table layouts."""
-    out = io.StringIO()
     if table.study == "estimation":
-        out.write("parameter,mean,sd,censoring_rate,n_replications,n_failed\n")
-        for name, mean, sd in zip(table.parameters, table.means, table.sds):
-            out.write(
-                f"{name},{_fmt(mean)},{_fmt(sd)},{_fmt(table.censoring_rate)},"
-                f"{table.n_replications},{table.n_failed}\n"
-            )
+        header, first, second = "parameter,mean,sd", table.means, table.sds
     else:
-        out.write("model,ratio,mse,censoring_rate,n_replications,n_failed\n")
         ratios = table.ratios if table.ratios is not None else [None] * len(table.means)
-        for name, ratio, mean in zip(table.parameters, ratios, table.means):
-            out.write(
-                f"{name},{_fmt(ratio)},{_fmt(mean)},{_fmt(table.censoring_rate)},"
-                f"{table.n_replications},{table.n_failed}\n"
-            )
-    return out.getvalue()
+        header, first, second = "model,ratio,mse", ratios, table.means
+    lines = [f"{header},censoring_rate,n_replications,n_failed\n"]
+    for name, a, b in zip(table.parameters, first, second):
+        lines.append(
+            f"{name},{_fmt(a)},{_fmt(b)},{_fmt(table.censoring_rate)},"
+            f"{table.n_replications},{table.n_failed}\n"
+        )
+    return "".join(lines)

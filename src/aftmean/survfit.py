@@ -50,14 +50,6 @@ class Truncation:
         return cls("theoretical", epsilon)
 
 
-def step_value(jumps, values, t):
-    """Right-continuous step function: 0 before jumps[0], values[k] from jumps[k] on."""
-    t = np.asarray(t, dtype=np.float64)
-    idx = np.searchsorted(jumps, t, side="right")
-    out = np.concatenate([[0.0], values])[idx]
-    return float(out) if out.ndim == 0 else out
-
-
 @dataclass(frozen=True)
 class StepDistribution:
     """Right-continuous distribution estimate with a truncation atom.
@@ -74,7 +66,10 @@ class StepDistribution:
 
     def cdf(self, t):
         """F(t), zero below the first jump and exactly one from the truncation on."""
-        return step_value(self.support, self.cdf_values, t)
+        t = np.asarray(t, dtype=np.float64)
+        idx = np.searchsorted(self.support, t, side="right")
+        out = np.concatenate([[0.0], self.cdf_values])[idx]
+        return float(out) if out.ndim == 0 else out
 
 
 @dataclass(frozen=True)

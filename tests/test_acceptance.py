@@ -421,7 +421,7 @@ def test_c13_property_suite():
             sc = am.Scenario.estimation(
                 am.ErrorLaw.normal(0.5), am.CovariateLaw.normal(0.0, 1.0), 4.0, n, 1, 0
             )
-            yy, ee, xx = sc.subject_model().sample(g, n)
+            yy, ee, xx = sc.sample(g, n)
             bb = am.solve_gehan(am.DesignData(yy, ee, xx))
             errs.append(float(np.abs(bb - 1.0).mean()))
         return float(np.mean(errs))

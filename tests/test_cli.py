@@ -452,6 +452,11 @@ NON_FINITE = [
     ("x2 = normal(0,1)", "x2 = normal(nan,1)"),
     ("tau = 4", "tau = nan"),
     ("tau = 4", "tau = -inf"),
+    ("tau = 4", "tau = 4\ncens = uniform(5,0)"),
+    ("tau = 4", "tau = 4\ncens = normal(0,1)"),
+    ("error = normal(0.5)", "error = t()"),
+    ("error = normal(0.5)", "error = evmin(1)"),
+    ("x2 = normal(0,1)", "x2 = bogus(1)"),
 ]
 
 
@@ -462,7 +467,13 @@ def test_cmd_simulate_non_finite_law_exits_config_error(tmp_path, capsys, old, n
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(TAU4_BODY.replace(old, new))
     assert _simulate_csv(cfg, tmp_path / "out.csv")[0] == EXIT_CONFIG
-    assert capsys.readouterr().err.startswith("configuration error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ")
+    key = new.split("\n")[-1].split("=")[0].strip()
+    if key != "tau":  # a bad tau is reported by the censoring law it builds
+        assert f"{key!r}" in err
+    if key == "cens":
+        assert "covariate" not in err
 
 
 @pytest.mark.parametrize(

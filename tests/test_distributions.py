@@ -79,7 +79,9 @@ def test_extreme_value_min_cdf_shape():
         assert np.mean(draws <= t) == pytest.approx(expected, abs=0.004)
 
 
-@pytest.mark.parametrize("law", ZERO_MEAN_LAWS, ids=lambda l: l.kind)
+@pytest.mark.parametrize(
+    "law", ZERO_MEAN_LAWS, ids=("normal", "gumbel_max", "laplace", "logistic", "student_t")
+)
 def test_zero_mean_laws_sample_mean_bound(law):
     rng = SeedSpec(105, hash(law.kind) % 1000).generator()
     draws = law.sample(rng, N_BIG)
@@ -108,6 +110,37 @@ def test_invalid_parameters_rejected():
         CovariateLaw.uniform(2.0, 2.0)
     with pytest.raises(ConfigError):
         CensoringLaw.uniform(5.0, 0.0)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: ErrorLaw("bogus", (1.0,)),
+        lambda: CovariateLaw("bogus", (0, 1)),
+        lambda: ErrorLaw("normal", ()),
+        lambda: ErrorLaw("evmin", (1.0,)),
+        lambda: ErrorLaw("normal", (-1.0,)),
+        lambda: CovariateLaw("uniform", (2, 1)),
+    ],
+    ids=["unknown-error", "unknown-covariate", "normal-no-sigma", "evmin-with-param",
+         "negative-sigma", "uniform-reversed"],
+)
+def test_law_rejects_bad_kind_count_or_range(build):
+    with pytest.raises(ConfigError):
+        build()
+
+
+def test_named_constructors_are_their_scenario_words():
+    assert ErrorLaw("evmin").mean() == -EULER_GAMMA
+    assert ErrorLaw.normal(0.5) == ErrorLaw("normal", (0.5,))
+    assert ErrorLaw.gumbel_max(0.5) == ErrorLaw("gumbel", (0.5,))
+    assert ErrorLaw.laplace(0.5) == ErrorLaw("laplace", (0.5,))
+    assert ErrorLaw.logistic(0.5) == ErrorLaw("logistic", (0.5,))
+    assert ErrorLaw.student_t(30) == ErrorLaw("t", (30,))
+    assert ErrorLaw.extreme_value_min() == ErrorLaw("evmin")
+    assert CovariateLaw.bernoulli(0.5) == CovariateLaw("bernoulli", (0.5,))
+    assert CovariateLaw.normal(0, 1) == CovariateLaw("normal", (0, 1))
+    assert CovariateLaw.uniform(-2, 2) == CovariateLaw("uniform", (-2, 2))
 
 
 def test_seed_spec_reproducible_and_streams_distinct():

@@ -221,8 +221,7 @@ def test_solver_unbounded_direction_raises():
 def table1_draw(config, rep=0):
     cfg = resources.files("aftmean").joinpath("configs", config)
     scenario = parse_scenario_text(cfg.read_text())
-    model = scenario.subject_model()
-    return DesignData(*model.sample(SeedSpec(scenario.seed, rep).generator(), scenario.n))
+    return DesignData(*scenario.sample(SeedSpec(scenario.seed, rep).generator(), scenario.n))
 
 
 def test_solver_error_best_has_full_length_for_d2():
@@ -296,7 +295,7 @@ def test_d2_fit_missing_the_score_bound_raises_after_one_search_per_start(monkey
     t = rng.integers(2, 17, 300).astype(float)
     c = rng.integers(2, 17, 300)
     data = DesignData(np.minimum(t, c), t <= c, x)
-    assert gehan._ols_event_slopes(data) is not None  # so four starts
+    assert gehan.event_ols(data) is not None  # so four starts
     calls = count_searches(monkeypatch)
     with pytest.raises(GehanSolverError, match="acceptance bound") as info:
         fit_aft(data)
@@ -404,7 +403,7 @@ def test_d1_line_search_matches_full_kink_scan(rng):
 def test_d1_line_search_matches_scan_on_table2_draws(cov, cell):
     cfg = resources.files("aftmean").joinpath("configs", f"table2_{cov}_{cell}_n2000.cfg")
     scenario = parse_scenario_text(cfg.read_text())
-    y, ev, x = scenario.subject_model().sample(SeedSpec(scenario.seed, 0).generator(), scenario.n)
+    y, ev, x = scenario.sample(SeedSpec(scenario.seed, 0).generator(), scenario.n)
     data = DesignData(y, ev, x)
     beta, report = gehan._solve_with_report(data, None)
     assert beta[0] == _scan_slope(data)

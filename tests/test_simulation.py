@@ -227,7 +227,7 @@ def test_parse_estimation_scenario_text():
     """
     sc = parse_scenario_text(text)
     assert sc.study == "estimation"
-    assert sc.error.kind == "gumbel_max"
+    assert sc.error.kind == "gumbel"
     assert sc.covariates[1].kind == "uniform"
     assert sc.censoring.tau == 1.5
     assert (sc.n, sc.replications, sc.seed) == (100, 250, 42)
@@ -240,7 +240,7 @@ def test_parse_prediction_scenario_text_and_overrides():
     assert sc.study == "prediction"
     assert sc.censoring is None
     assert sc.replications == 12 and sc.seed == 99
-    assert sc.error.kind == "extreme_value_min"
+    assert sc.error.kind == "evmin"
 
 
 def test_estimation_scenario_cens_none_is_uncensored():
