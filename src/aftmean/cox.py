@@ -4,6 +4,13 @@ Partial-likelihood slopes (Newton-Raphson with step halving, Breslow tie
 handling), the Breslow baseline cumulative hazard, and mean-survival
 prediction with the conditional distribution forced to one at the last
 observed time.  Negative event times are fine throughout.
+
+With few events the partial likelihood can keep rising along a direction
+u, so that no finite slope maximises it.  Bryson & Johnson (1981,
+Technometrics 23:381): that happens exactly when every event's x'u is the
+maximum of x'u over its risk set and some event's x'u is above the risk
+set's minimum.  ``fit_cox`` checks this along Newton's direction and raises:
+a complete test at d = 1 (u = +1 or -1), Newton's direction only at d >= 2.
 """
 
 from __future__ import annotations
@@ -20,6 +27,10 @@ from .gehan import DesignData
 # exp(-Lambda_k * e^eta) is written into one PREDICT_BLOCK x (baseline jump
 # points) buffer, allocated once per call and reused by every block.
 PREDICT_BLOCK = 128
+
+# The most Newton steps fit_cox takes; a score still above tol * n after
+# them is a failed fit.
+MAX_NEWTON_STEPS = 60
 
 
 @dataclass(frozen=True)
@@ -62,17 +73,36 @@ def _suffstats(beta, ys, ds, xs):
     return kernels.cox_suffstats(eta, ys, ds, xs, shift)
 
 
-def fit_cox(
-    data: DesignData,
-    tol: float = 1e-9,
-    max_iter: int = 60,
-    divergence_bound: float = 50.0,
-) -> CoxFit:
+def _rising_direction(beta, ys, ds, xs):
+    """u = beta / |beta| when the partial likelihood keeps rising along u.
+
+    ``ys`` runs in descending time, so an event's risk set is the prefix
+    ending with its tie group, and running extremes of z = X u decide the
+    Bryson-Johnson condition in one pass.  None when it fails or beta = 0.
+    """
+    norm = float(np.linalg.norm(beta))
+    if norm == 0.0:
+        return None
+    u = beta / norm
+    z = xs @ u
+    ends = np.flatnonzero(np.append(ys[1:] != ys[:-1], True))
+    sizes = np.diff(ends, prepend=-1)
+    top = np.repeat(np.maximum.accumulate(z)[ends], sizes)
+    bottom = np.repeat(np.minimum.accumulate(z)[ends], sizes)
+    ev = ds > 0
+    if np.all(z[ev] >= top[ev]) and np.any(z[ev] > bottom[ev]):
+        return u
+    return None
+
+
+def fit_cox(data: DesignData, tol: float = 1e-9) -> CoxFit:
     """Newton-Raphson partial-likelihood fit from beta = 0 with step halving.
 
-    Convergence means the score norm drops below ``tol * n``.  A slope
-    escaping ``divergence_bound`` with a non-vanishing score is reported as
-    monotone-likelihood divergence, naming the coordinate.
+    Convergence means the score norm drops to ``tol * n`` within
+    ``MAX_NEWTON_STEPS`` steps.  Wherever Newton stops, a likelihood that
+    keeps rising along u = beta / |beta| raises ``CoxFitError`` naming u:
+    at d = 1 exactly when no finite slope exists, at d >= 2 only when
+    Newton's own direction is monotone (module docstring).
     """
     if data.n_events() == 0:
         raise CoxFitError("no events: the partial likelihood is empty")
@@ -82,7 +112,7 @@ def fit_cox(
     threshold = tol * data.n
     ll, score, hess = _suffstats(beta, ys, ds, xs)
     iterations = 0
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, MAX_NEWTON_STEPS + 1):
         if np.max(np.abs(score)) <= threshold:
             break
         try:
@@ -99,18 +129,18 @@ def fit_cox(
                 break
             scale *= 0.5
         if not improved:
-            break  # stalled; the score check below decides
+            break  # stalled; the checks below decide
         beta, ll, score, hess = candidate, ll_new, score_new, hess_new
-        if np.max(np.abs(beta)) > divergence_bound and np.max(np.abs(score)) > threshold:
-            worst = int(np.argmax(np.abs(beta)))
-            raise CoxFitError(
-                f"monotone-likelihood divergence in coordinate {worst}: "
-                f"|beta[{worst}]| exceeded {divergence_bound} with nonvanishing score"
-            )
-    score_norm = float(np.max(np.abs(score)))
-    if score_norm > threshold:
+    u = _rising_direction(beta, ys, ds, xs)
+    if u is not None:
         raise CoxFitError(
-            f"Newton did not converge in {max_iter} iterations "
+            "monotone likelihood: the partial likelihood keeps rising along "
+            f"u = {np.array2string(u, precision=4)}, so no finite slope maximises it"
+        )
+    score_norm = float(np.max(np.abs(score)))
+    if not score_norm <= threshold:  # a NaN score fails too
+        raise CoxFitError(
+            f"Newton stopped after {iterations} iterations "
             f"(score norm {score_norm:.3e})"
         )
     baseline = breslow(beta, data)

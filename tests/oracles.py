@@ -249,3 +249,27 @@ def predict_cox_mean_fsum(fit, row):
     ends = [t for t, _ in pts[1:]] + [float(fit.t_max)]
     terms = [(end - t) * math.exp(-c * r) for (t, c), end in zip(pts, ends)]
     return math.fsum([pts[0][0]] + terms)
+
+
+def cox_monotone_lp(data):
+    """Whether the Cox partial likelihood is monotone, by a linear program.
+
+    Bryson & Johnson (1981): no finite slope maximises the likelihood exactly
+    when some u makes (x_i - x_j)'u >= 0 for every event i and every j at
+    risk at t_i (y_j >= y_i), with at least one term positive.  HiGHS
+    maximises the sum of those terms subject to each being >= 0 and
+    |u_k| <= 1; the likelihood is monotone when the optimum is positive
+    beyond the solver's tolerance.
+    """
+    y, x = data.time, data.covariates
+    i, j = np.nonzero(data.event[:, None] & (y[None, :] >= y[:, None]))
+    diff = x[i] - x[j]
+    result = linprog(
+        -diff.sum(axis=0),
+        A_ub=-diff,
+        b_ub=np.zeros(i.size),
+        bounds=[(-1.0, 1.0)] * x.shape[1],
+        method="highs",
+    )
+    assert result.status == 0, result.message
+    return -result.fun > 1e-7 * max(1.0, np.abs(diff).sum())

@@ -13,6 +13,7 @@ from conftest import random_censored_sample
 from oracles import (
     bisect_root,
     cox_loglik_direct,
+    cox_monotone_lp,
     cox_score_direct,
     cox_suffstats_direct,
     predict_cox_mean_dense,
@@ -131,11 +132,85 @@ def test_fit_model41_slope_near_minus_one():
 
 
 def test_fit_monotone_likelihood_divergence():
-    # the covariate perfectly orders the two event times, so the slope walks
-    # off to infinity; a tight bound catches it while the score is still live
+    # the covariate perfectly orders the two event times, so the likelihood
+    # keeps rising along u = +1 and no finite slope maximises it
     data = DesignData(np.array([1.0, 2.0]), np.array([1, 1]), np.array([[1.0], [0.0]]))
-    with pytest.raises(CoxFitError, match="coordinate 0"):
-        fit_cox(data, divergence_bound=5.0)
+    with pytest.raises(CoxFitError, match=r"monotone likelihood.*u = \[1\.\]"):
+        fit_cox(data)
+    # each event tops its risk set in x; a bound in slope units let Newton
+    # stop at beta = 20.7, 1.18 and 0.257 at these scales and call it converged
+    for scale in (1.0, 20.0, 100.0):
+        x = scale * np.array([[1.0], [0.0], [-1.0]])
+        with pytest.raises(CoxFitError, match="monotone likelihood"):
+            fit_cox(DesignData(np.array([1.0, 2.0, 3.0]), np.array([1, 1, 0]), x))
+
+
+def _three_point_draws(rng, count):
+    # uncensored 3-point instances, drawn as in acceptance check C5
+    for _ in range(count):
+        y = np.sort(rng.normal(size=3))
+        yield DesignData(y, np.ones(3, dtype=bool), rng.normal(size=(3, 1)))
+
+
+def _censored_d1_draws(rng, count):
+    for k in range(count):
+        n = (5, 10, 20)[k % 3]
+        event = rng.random(n) >= 0.3
+        event[0] = True
+        yield DesignData(rng.normal(size=n), event, rng.normal(size=(n, 1)))
+
+
+def _d2_draws(kind):
+    # x1 binary, x2 normal; times separated by x1, ordered by x1 + x2, or
+    # drawn from proportional hazards; about 30% censored
+    def draws(rng, count):
+        for k in range(count):
+            n = (6, 10, 20, 40)[k % 4]
+            x1 = rng.permutation(np.arange(n) % 2).astype(float)
+            x = np.column_stack([x1, rng.normal(size=n)])
+            if kind == "x1":
+                t = rng.random(n) + 1.0 - x1
+            elif kind == "x1+x2":
+                t = -(x1 + x[:, 1])
+            else:
+                t = np.log(rng.exponential(size=n)) - x1 - 0.5 * x[:, 1]
+            event = rng.random(n) >= 0.3
+            event[np.argmin(t)] = True
+            yield DesignData(t, event, x)
+
+    return draws
+
+
+@pytest.mark.parametrize(
+    "seed, draws, count",
+    [
+        (90005, _three_point_draws, 200),
+        (90006, _censored_d1_draws, 150),
+        (90007, _d2_draws("x1"), 40),
+        (90008, _d2_draws("x1+x2"), 40),
+        (90009, _d2_draws("ph"), 60),
+    ],
+    ids=["d1-three-point", "d1-censored", "d2-x1-separable", "d2-sum-separable", "d2-ph"],
+)
+def test_monotone_error_against_lp_oracle(seed, draws, count):
+    # at d = 1 u = +1 and -1 are the only directions, so fit_cox raises on
+    # exactly the draws the LP calls monotone; at d >= 2 it tests Newton's
+    # direction only, so it may miss a monotone draw but never flags a finite one
+    monotone, errors = [], []
+    for data in draws(np.random.default_rng(seed), count):
+        monotone.append(bool(cox_monotone_lp(data)))
+        try:
+            fit_cox(data)
+            errors.append(None)
+        except CoxFitError as exc:
+            errors.append(str(exc))
+    assert any(monotone)
+    if data.d == 1:
+        assert not all(monotone)
+        assert [e is not None for e in errors] == monotone
+    else:
+        flagged = ["monotone likelihood" in (e or "") for e in errors]
+        assert not any(f and not m for f, m in zip(flagged, monotone))
 
 
 def test_shift_invariance(rng):
