@@ -240,6 +240,13 @@ def _boot_count(text: str) -> int:
     return count
 
 
+def _tail_threshold(text: str) -> float:
+    value = float(text)
+    if not 0.0 < value <= 1.0:  # NaN fails too
+        raise argparse.ArgumentTypeError(f"{text}: use a number in (0, 1]")
+    return value
+
+
 def _add_model_flags(sub):
     sub.add_argument("--input", required=True, help="input CSV path")
     sub.add_argument("--response", required=True, help="response (time) column")
@@ -270,8 +277,8 @@ def build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--output", required=True, help="coefficient CSV output path")
     fit.add_argument("--boot", type=_boot_count, default=0, help="bootstrap replicates for SEs")
     fit.add_argument("--seed", type=int, default=_SEED_DEFAULT, help="bootstrap master seed")
-    fit.add_argument("--threshold", type=float, default=0.15,
-                     help="tail-adequacy threshold")
+    fit.add_argument("--threshold", type=_tail_threshold, default=0.15,
+                     help="tail-adequacy threshold, in (0, 1]")
 
     cv = commands.add_parser("predict-cv", help="leave-one-out prediction report")
     _add_model_flags(cv)
@@ -292,8 +299,8 @@ def build_parser() -> argparse.ArgumentParser:
     km = commands.add_parser("km-check", help="residual KM tail diagnostic")
     _add_model_flags(km)
     _add_truncation_flags(km)
-    km.add_argument("--threshold", type=float, default=0.15,
-                    help="tail-adequacy threshold")
+    km.add_argument("--threshold", type=_tail_threshold, default=0.15,
+                    help="tail-adequacy threshold, in (0, 1]")
     return parser
 
 

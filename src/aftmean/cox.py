@@ -3,14 +3,17 @@
 Partial-likelihood slopes (Newton-Raphson with step halving, Breslow tie
 handling), the Breslow baseline cumulative hazard, and mean-survival
 prediction with the conditional distribution forced to one at the last
-observed time.  Negative event times are fine throughout.
+observed time.  Negative event times are fine throughout.  Every risk set
+is a prefix of one latest-first order (``_risk_sets``), so Newton, the
+monotone check and the Breslow hazard read running sums at the same ends.
 
 With few events the partial likelihood can keep rising along a direction
 u, so that no finite slope maximises it.  Bryson & Johnson (1981,
 Technometrics 23:381): that happens exactly when every event's x'u is the
 maximum of x'u over its risk set and some event's x'u is above the risk
-set's minimum.  ``fit_cox`` checks this along Newton's direction and raises:
-a complete test at d = 1 (u = +1 or -1), Newton's direction only at d >= 2.
+set's minimum.  ``fit_cox`` checks this along Newton's direction and
+along +-e_k for each covariate k and raises: a complete test at d = 1; at
+d >= 2 a rise along any other direction goes unflagged.
 """
 
 from __future__ import annotations
@@ -28,8 +31,10 @@ from .gehan import DesignData
 # points) buffer, allocated once per call and reused by every block.
 PREDICT_BLOCK = 128
 
-# The most Newton steps fit_cox takes; a score still above tol * n after
-# them is a failed fit.
+# Newton takes one more step once the score norm is within SCORE_TOL * n,
+# which at quadratic convergence leaves it at rounding level; a score still
+# above SCORE_TOL * n after MAX_NEWTON_STEPS steps is a failed fit.
+SCORE_TOL = 1e-9
 MAX_NEWTON_STEPS = 60
 
 
@@ -58,63 +63,59 @@ class CoxFit:
     report: CoxReport
 
 
-def _descending(data: DesignData):
-    order = np.argsort(-data.time, kind="stable")
-    return (
-        data.time[order],
-        data.event[order].astype(np.float64),
-        data.covariates[order],
-    )
+def _risk_sets(data: DesignData):
+    """Stable latest-first ``order``, its event rows ``ev``, and their risk-set ends.
 
-
-def _suffstats(beta, ys, ds, xs):
-    eta = xs @ beta
-    shift = float(eta.max())
-    return kernels.cox_suffstats(eta, ys, ds, xs, shift)
-
-
-def _rising_direction(beta, ys, ds, xs):
-    """u = beta / |beta| when the partial likelihood keeps rising along u.
-
-    ``ys`` runs in descending time, so an event's risk set is the prefix
-    ending with its tie group, and running extremes of z = X u decide the
-    Bryson-Johnson condition in one pass.  None when it fails or beta = 0.
+    Event ``ev[k]`` is at risk with rows ``0 .. ends[k]`` of the order, the
+    last of them the last subject tied with it: ties share one risk set.
     """
+    order = np.argsort(-data.time, kind="stable")
+    key = -data.time[order]
+    ev = np.flatnonzero(data.event[order])
+    ends = np.searchsorted(key, key[ev], side="right") - 1
+    return order, ev, ends
+
+
+def _rising_direction(beta, xs, ev, ends):
+    """A direction u along which the likelihood keeps rising, or None.
+
+    Tries beta / |beta| (beta != 0), then +-e_k for each axis k; running
+    extremes of z = X u over the latest-first rows decide each in one pass.
+    """
+    d = xs.shape[1]
     norm = float(np.linalg.norm(beta))
-    if norm == 0.0:
-        return None
-    u = beta / norm
-    z = xs @ u
-    ends = np.flatnonzero(np.append(ys[1:] != ys[:-1], True))
-    sizes = np.diff(ends, prepend=-1)
-    top = np.repeat(np.maximum.accumulate(z)[ends], sizes)
-    bottom = np.repeat(np.minimum.accumulate(z)[ends], sizes)
-    ev = ds > 0
-    if np.all(z[ev] >= top[ev]) and np.any(z[ev] > bottom[ev]):
-        return u
+    newton = [beta / norm] if norm > 0.0 else []
+    axes = np.concatenate([np.eye(d), -np.eye(d)]) + 0.0  # + 0.0: no -0.0 entries
+    for u in [*newton, *axes]:
+        z = xs @ u
+        top = np.maximum.accumulate(z)[ends]
+        bottom = np.minimum.accumulate(z)[ends]
+        if np.all(z[ev] >= top) and np.any(z[ev] > bottom):
+            return u
     return None
 
 
-def fit_cox(data: DesignData, tol: float = 1e-9) -> CoxFit:
+def fit_cox(data: DesignData) -> CoxFit:
     """Newton-Raphson partial-likelihood fit from beta = 0 with step halving.
 
-    Convergence means the score norm drops to ``tol * n`` within
-    ``MAX_NEWTON_STEPS`` steps.  Wherever Newton stops, a likelihood that
-    keeps rising along u = beta / |beta| raises ``CoxFitError`` naming u:
-    at d = 1 exactly when no finite slope exists, at d >= 2 only when
-    Newton's own direction is monotone (module docstring).
+    Newton stops one step after the score norm first drops to
+    ``SCORE_TOL * n``, or at once on a zero score.  Wherever it stops, a
+    likelihood that keeps rising along Newton's direction or an axis raises
+    ``CoxFitError`` naming that u (module docstring).
     """
     if data.n_events() == 0:
         raise CoxFitError("no events: the partial likelihood is empty")
-    ys, ds, xs = _descending(data)
-    d = data.d
-    beta = np.zeros(d)
-    threshold = tol * data.n
-    ll, score, hess = _suffstats(beta, ys, ds, xs)
-    iterations = 0
+    order, ev, ends = _risk_sets(data)
+    xs = data.covariates[order]
+    xs = xs - xs[0]  # slopes are shift-invariant; a constant column becomes exactly 0
+    beta = np.zeros(data.d)
+    threshold = SCORE_TOL * data.n
+    ll, score, hess = kernels.cox_suffstats(beta, xs, ev, ends)
+    converged = False
     for iterations in range(1, MAX_NEWTON_STEPS + 1):
-        if np.max(np.abs(score)) <= threshold:
+        if converged or not np.any(score):
             break
+        converged = np.max(np.abs(score)) <= threshold
         try:
             step = np.linalg.solve(-hess, score)
         except np.linalg.LinAlgError as exc:
@@ -123,7 +124,7 @@ def fit_cox(data: DesignData, tol: float = 1e-9) -> CoxFit:
         improved = False
         for _ in range(40):
             candidate = beta + scale * step
-            ll_new, score_new, hess_new = _suffstats(candidate, ys, ds, xs)
+            ll_new, score_new, hess_new = kernels.cox_suffstats(candidate, xs, ev, ends)
             if ll_new >= ll - 1e-13 * max(1.0, abs(ll)):
                 improved = True
                 break
@@ -131,7 +132,7 @@ def fit_cox(data: DesignData, tol: float = 1e-9) -> CoxFit:
         if not improved:
             break  # stalled; the checks below decide
         beta, ll, score, hess = candidate, ll_new, score_new, hess_new
-    u = _rising_direction(beta, ys, ds, xs)
+    u = _rising_direction(beta, xs, ev, ends)
     if u is not None:
         raise CoxFitError(
             "monotone likelihood: the partial likelihood keeps rising along "
@@ -149,21 +150,19 @@ def fit_cox(data: DesignData, tol: float = 1e-9) -> CoxFit:
 
 
 def breslow(beta, data: DesignData) -> BaselineHazard:
-    """Baseline cumulative hazard: sum over event times of d / risk-set exp sum."""
-    beta = np.asarray(beta, dtype=np.float64)
-    order = np.argsort(data.time, kind="stable")
-    ys = data.time[order]
-    ds = data.event[order].astype(np.float64)
-    eta = data.covariates[order] @ beta
+    """Baseline cumulative hazard: sum over event times of d / risk-set exp sum.
+
+    Each event adds 1 / (the running exp sum at its risk-set end), earliest
+    first; the hazard is read after the last event of each distinct time.
+    """
+    order, _, ends = _risk_sets(data)
+    eta = data.covariates[order] @ np.asarray(beta, dtype=np.float64)
     shift = float(eta.max())
-    w = np.exp(eta - shift)
-    suffix = np.concatenate([np.cumsum(w[::-1])[::-1], [0.0]])
-    times, first = np.unique(ys, return_index=True)
-    d_g = np.add.reduceat(ds, first)
-    risk = suffix[first] * np.exp(shift)
-    has_event = d_g > 0
-    cumhaz = np.cumsum(d_g[has_event] / risk[has_event])
-    return BaselineHazard(times[has_event], cumhaz)
+    risk = np.cumsum(np.exp(eta - shift)) * np.exp(shift)
+    j = ends[::-1]  # events, earliest first
+    cumhaz = np.cumsum(1.0 / risk[j])
+    last = np.diff(j, append=-1) != 0  # the last event of each distinct time
+    return BaselineHazard(data.time[order][j[last]], cumhaz[last])
 
 
 def predict_cox_mean(fit: CoxFit, xnew) -> float | np.ndarray:

@@ -66,23 +66,23 @@ def d1_pair_profile(y, delta, x):
 
 
 # ---------------------------------------------------------------------------
-# Cox partial likelihood sufficient statistics under Breslow tie handling.
-# Inputs sorted by observed time DESCENDING; ties share one risk set.
-# Returns (loglik, score, hessian); `shift` is max(eta) for stable exps.
+# Cox partial likelihood (loglik, score, hessian) at beta, Breslow ties.  Rows
+# of xs run latest time first and event ev[k] is at risk with rows 0..ends[k]
+# (cox._risk_sets), so running sums read at ends are risk-set sums.  The one
+# shift, max(eta), can underflow a late risk set's sum at large |beta|.
 
 
-def cox_suffstats(eta, ys, ds, xs, shift):
+def cox_suffstats(beta, xs, ev, ends):
+    eta = xs @ beta
+    shift = float(eta.max())
     w = np.exp(eta - shift)
-    s0 = np.cumsum(w)
-    s1 = np.cumsum(w[:, None] * xs, axis=0)
-    s2 = np.cumsum(w[:, None, None] * (xs[:, :, None] * xs[:, None, :]), axis=0)
-    grp_end = np.searchsorted(-ys, -ys, side="right") - 1
-    ev = np.flatnonzero(ds > 0.0)
-    j = grp_end[ev]
-    xbar = s1[j] / s0[j, None]
-    loglik = float(np.sum(eta[ev] - (np.log(s0[j]) + shift)))
+    s0 = np.cumsum(w)[ends]
+    s1 = np.cumsum(w[:, None] * xs, axis=0)[ends]
+    s2 = np.cumsum(w[:, None, None] * (xs[:, :, None] * xs[:, None, :]), axis=0)[ends]
+    xbar = s1 / s0[:, None]
+    loglik = float(np.sum(eta[ev] - (np.log(s0) + shift)))
     score = (xs[ev] - xbar).sum(axis=0)
-    hess = -(s2[j] / s0[j, None, None] - xbar[:, :, None] * xbar[:, None, :]).sum(axis=0)
+    hess = -(s2 / s0[:, None, None] - xbar[:, :, None] * xbar[:, None, :]).sum(axis=0)
     return loglik, score, hess
 
 

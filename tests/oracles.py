@@ -199,6 +199,30 @@ def cox_suffstats_direct(beta, y, delta, x):
     return loglik, score, hess
 
 
+def breslow_direct(beta, y, delta, x):
+    """Breslow cumulative hazard at each distinct event time, from its defining sums.
+
+    Lambda(t) = sum over distinct event times s <= t of (events at s) /
+    sum_{j: y_j >= s} exp(x_j' beta), every sum a Python loop over subjects.
+    Returns (times ascending, cumulative hazards).
+    """
+    beta = [float(b) for b in np.ravel(beta)]
+    rows = [[float(v) for v in row] for row in np.atleast_2d(x)]
+    times = sorted({float(t) for t, d in zip(y, delta) if d})
+    total = 0.0
+    cumhaz = []
+    for s in times:
+        deaths = sum(1 for t, d in zip(y, delta) if d and t == s)
+        risk = math.fsum(
+            math.exp(math.fsum(b * v for b, v in zip(beta, row)))
+            for t, row in zip(y, rows)
+            if t >= s
+        )
+        total += deaths / risk
+        cumhaz.append(total)
+    return np.array(times), np.array(cumhaz)
+
+
 def bisect_root(fn, lo, hi, tol=1e-12, max_iter=200):
     """Plain bisection for a decreasing-or-increasing continuous function."""
     flo = fn(lo)

@@ -501,6 +501,25 @@ def test_negative_seed_exits_config_error(tmp_path, capsys, monkeypatch, linear_
     assert solves == []  # the seed is checked before anything is fitted
 
 
+@pytest.mark.parametrize("threshold", ["nan", "inf", "0", "-1", "1.5"])
+@pytest.mark.parametrize("command", ["fit", "km-check"])
+def test_threshold_outside_unit_interval_exits_config_error(
+    tmp_path, capsys, monkeypatch, linear_csv, command, threshold
+):
+    out = tmp_path / "out.csv"
+    solves = []
+    solve = gehan._solve_with_report
+    monkeypatch.setattr(gehan, "_solve_with_report", lambda *a: solves.append(a) or solve(*a))
+    argv = [command, "--input", linear_csv, "--response", "time", "--event", "status",
+            "--covariates", "x1,x2", "--threshold", threshold]
+    if command == "fit":
+        argv += ["--output", str(out)]
+    assert main(argv) == EXIT_CONFIG
+    assert "argument --threshold" in capsys.readouterr().err
+    assert not out.exists()
+    assert solves == []  # the threshold is checked before anything is fitted
+
+
 # ---------------------------------------------------------------- km-check
 
 

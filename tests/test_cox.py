@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from aftmean import kernels
-from aftmean.cox import PREDICT_BLOCK, breslow, fit_cox, predict_cox_mean
+from aftmean.cox import PREDICT_BLOCK, _risk_sets, breslow, fit_cox, predict_cox_mean
 from aftmean.distributions import CovariateLaw, ErrorLaw, SeedSpec, SubjectModel
 from aftmean.errors import CoxFitError
 from aftmean.gehan import DesignData, solve_gehan
@@ -12,6 +12,7 @@ from aftmean.survfit import km_fit, mean_of
 from conftest import random_censored_sample
 from oracles import (
     bisect_root,
+    breslow_direct,
     cox_loglik_direct,
     cox_monotone_lp,
     cox_score_direct,
@@ -36,12 +37,15 @@ def model41_sample(seed, n, censored=False):
 # ------------------------------------------------------------- loglik
 
 
+def suffstats(beta, data):
+    """Breslow log-likelihood, score and Hessian, straight from the kernel."""
+    order, ev, ends = _risk_sets(data)
+    beta = np.asarray(beta, dtype=np.float64)
+    return kernels.cox_suffstats(beta, data.covariates[order], ev, ends)
+
+
 def loglik(beta, data):
-    """Breslow partial log-likelihood, straight from the suff-stats kernel."""
-    order = np.argsort(-data.time, kind="stable")
-    ys, ds, xs = data.time[order], data.event[order].astype(float), data.covariates[order]
-    eta = xs @ np.asarray(beta, dtype=np.float64)
-    return kernels.cox_suffstats(eta, ys, ds, xs, float(eta.max()))[0]
+    return suffstats(beta, data)[0]
 
 
 def test_loglik_flat_for_constant_covariate():
@@ -86,10 +90,7 @@ def test_suffstats_kernel_matches_direct_sums_with_ties():
             if rng.random() < 0.5:
                 y = np.round(y, 1)  # tied times share one risk set
             beta = rng.normal(0.0, 0.7, d)
-            order = np.argsort(-y, kind="stable")
-            ys, ds, xs = y[order], ev[order].astype(float), x[order]
-            eta = xs @ beta
-            ll, score, hess = kernels.cox_suffstats(eta, ys, ds, xs, float(eta.max()))
+            ll, score, hess = suffstats(beta, DesignData(y, ev, x))
             ll_o, score_o, hess_o = cox_suffstats_direct(beta, y, ev.astype(float), x)
             assert ll == pytest.approx(ll_o, abs=1e-10)
             np.testing.assert_allclose(score, score_o, atol=1e-10)
@@ -115,6 +116,37 @@ def test_fit_three_subject_bisection_oracle():
         lambda b: cox_score_direct(b, y, ev.astype(float), x[:, 0]), -10.0, 10.0
     )
     assert fit.slopes[0] == pytest.approx(root, abs=1e-8)
+
+
+def test_fit_censored_tied_bisection_oracle():
+    # Newton at its defaults lands on the score's root to rounding, with
+    # censoring and times rounded to 0.1 so tied risk sets are common
+    rng = np.random.default_rng(90016)
+    checked = 0
+    for n in (10, 50, 200):
+        for _ in range(10):
+            y, ev, x = random_censored_sample(rng, n, d=1)
+            y = np.round(y, 1)
+            score = lambda b: cox_score_direct(b, y, ev.astype(float), x[:, 0])
+            if not ev.any() or score(-10.0) * score(10.0) >= 0:
+                continue  # no events, or a monotone likelihood
+            root = bisect_root(score, -10.0, 10.0)
+            slope = fit_cox(DesignData(y, ev, x)).slopes[0]
+            assert abs(slope - root) <= 1e-10 * max(1.0, abs(root))
+            checked += 1
+    assert checked >= 25
+
+
+def test_fit_constant_covariate():
+    # a column with one value carries no information: alone its slope is 0,
+    # beside another covariate the information matrix is singular
+    rng = np.random.default_rng(90017)
+    y, ev, x = random_censored_sample(rng, 50, d=1)
+    for c in (0.1, 7.7):
+        fit = fit_cox(DesignData(y, ev, np.full((50, 1), c)))
+        assert fit.slopes[0] == 0.0
+        with pytest.raises(CoxFitError, match="singular information matrix"):
+            fit_cox(DesignData(y, ev, np.column_stack([x[:, 0], np.full(50, c)])))
 
 
 def test_fit_score_norm_invariant(rng):
@@ -195,7 +227,8 @@ def _d2_draws(kind):
 def test_monotone_error_against_lp_oracle(seed, draws, count):
     # at d = 1 u = +1 and -1 are the only directions, so fit_cox raises on
     # exactly the draws the LP calls monotone; at d >= 2 it tests Newton's
-    # direction only, so it may miss a monotone draw but never flags a finite one
+    # direction and +-e_k, which decides every draw of these families but
+    # could miss a rise along some other direction
     monotone, errors = [], []
     for data in draws(np.random.default_rng(seed), count):
         monotone.append(bool(cox_monotone_lp(data)))
@@ -210,7 +243,7 @@ def test_monotone_error_against_lp_oracle(seed, draws, count):
         assert [e is not None for e in errors] == monotone
     else:
         flagged = ["monotone likelihood" in (e or "") for e in errors]
-        assert not any(f and not m for f, m in zip(flagged, monotone))
+        assert flagged == monotone
 
 
 def test_shift_invariance(rng):
@@ -287,6 +320,26 @@ def test_breslow_three_subject_hand_sums():
     e = np.exp(beta * x[:, 0])
     expected = np.cumsum([1 / e.sum(), 1 / (e[1] + e[2]), 1 / e[2]])
     np.testing.assert_allclose(base.cumhaz, expected, atol=1e-12)
+
+
+def test_breslow_tied_times_against_direct_sums():
+    # times rounded to 0.1 tie events with events and with censored times
+    rng = np.random.default_rng(90018)
+    event_ties = censored_ties = 0
+    for d in (1, 2):
+        for n in (5, 20, 60) * 5:
+            y, ev, x = random_censored_sample(rng, n, d=d)
+            y = np.round(y, 1)
+            if not ev.any():
+                continue
+            event_ties += len(y[ev]) > len(np.unique(y[ev]))
+            censored_ties += bool(np.isin(y[~ev], y[ev]).any())
+            beta = rng.normal(0.0, 1.0, d)
+            base = breslow(beta, DesignData(y, ev, x))
+            times, cumhaz = breslow_direct(beta, y, ev, x)
+            assert np.array_equal(base.times, times)
+            np.testing.assert_allclose(base.cumhaz, cumhaz, rtol=1e-12, atol=0.0)
+    assert event_ties >= 10 and censored_ties >= 10
 
 
 # ------------------------------------------------------------- prediction
