@@ -49,12 +49,10 @@ from .simulation import (
 )
 from .survfit import (
     StepDistribution,
-    TailDiagnostic,
     Truncation,
     curve_points,
     km_fit,
     mean_of,
-    tail_diagnostic,
 )
 
 __version__ = "0.1.0"

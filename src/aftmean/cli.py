@@ -17,6 +17,8 @@ from pathlib import Path
 
 import numpy as np
 
+from . import gehan
+from .distributions import SeedSpec
 from .errors import ConfigError, DataError, EstimationError
 from .gehan import DesignData, fit_aft, predict_aft
 from .simulation import (
@@ -103,18 +105,24 @@ def _km_curve_path(output: str) -> Path:
     return out.with_name(out.stem + "_km" + suffix)
 
 
+def _tail_verdict(tail: float, threshold: float) -> str:
+    return "adequate" if tail < threshold else "NOT adequate"
+
+
 def cmd_fit(args) -> int:
     data = _load_design(args)
-    fit = fit_aft(
-        data,
-        truncation=Truncation(args.mode, args.epsilon),
-        bootstrap=args.boot,
-        seed=args.seed,
-        tail_threshold=args.threshold,
-    )
+    if args.boot:
+        SeedSpec(args.seed)  # a bad seed stops the run before the full-data solve
+    truncation = Truncation(args.mode, args.epsilon)
+    fit = fit_aft(data, truncation=truncation)
     terms = ["intercept", *args.covariates]
     estimates = [fit.intercept, *fit.slopes]
-    ses = fit.bootstrap_se if fit.bootstrap_se is not None else [None] * len(terms)
+    ses = [None] * len(terms)
+    if args.boot:
+        # looked up on the module at call time, so a wrapper installed there sees it
+        ses = gehan.bootstrap_se(
+            data, args.boot, args.seed, init=fit.slopes, truncation=truncation
+        )
     with open(args.output, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["term", "estimate", "bootstrap_se"])
@@ -126,12 +134,11 @@ def cmd_fit(args) -> int:
         writer.writerow(["t", "cdf", "survival"])
         for t, f, s in curve_points(fit.residual_dist):
             writer.writerow([repr(float(t)), repr(float(f)), repr(float(s))])
-    verdict = "adequate" if fit.tail.adequate else "NOT adequate"
     for term, est in zip(terms, estimates):
         print(f"{term:>12s}  {est:.6g}")
     print(
-        f"residual KM tail {fit.tail.tail_value:.6g} -> {verdict} "
-        f"(threshold {fit.tail.threshold:g})"
+        f"residual KM tail {fit.tail:.6g} -> {_tail_verdict(fit.tail, args.threshold)} "
+        f"(threshold {args.threshold:g})"
     )
     print(f"wrote {args.output} and {km_path}")
     return EXIT_OK
@@ -217,11 +224,10 @@ def cmd_simulate(args) -> int:
 def cmd_km_check(args) -> int:
     data = _load_design(args)
     truncation = Truncation(args.mode, args.epsilon)
-    fit = fit_aft(data, truncation=truncation, tail_threshold=args.threshold)
-    verdict = "adequate" if fit.tail.adequate else "NOT adequate"
+    fit = fit_aft(data, truncation=truncation)
     print(
-        f"residual KM tail value {fit.tail.tail_value:.6g}: intercept estimation "
-        f"{verdict} (threshold {fit.tail.threshold:g})"
+        f"residual KM tail value {fit.tail:.6g}: intercept estimation "
+        f"{_tail_verdict(fit.tail, args.threshold)} (threshold {args.threshold:g})"
     )
     return EXIT_OK
 

@@ -98,16 +98,23 @@ def _rising_direction(beta, xs, ev, ends):
 def fit_cox(data: DesignData) -> CoxFit:
     """Newton-Raphson partial-likelihood fit from beta = 0 with step halving.
 
-    Newton stops one step after the score norm first drops to
-    ``SCORE_TOL * n``, or at once on a zero score.  Wherever it stops, a
-    likelihood that keeps rising along Newton's direction or an axis raises
-    ``CoxFitError`` naming that u (module docstring).
+    Affinely collinear covariates, which leave the slope split arbitrary,
+    raise ``CoxFitError``.  Newton stops one step after the score norm
+    first drops to ``SCORE_TOL * n``, or at once on a zero score.  Wherever
+    it stops, a likelihood that keeps rising along Newton's direction or an
+    axis raises ``CoxFitError`` naming that u (module docstring).
     """
     if data.n_events() == 0:
         raise CoxFitError("no events: the partial likelihood is empty")
     order, ev, ends = _risk_sets(data)
     xs = data.covariates[order]
     xs = xs - xs[0]  # slopes are shift-invariant; a constant column becomes exactly 0
+    rank = np.linalg.matrix_rank(xs)
+    if 0 < rank < data.d:  # all-constant columns (rank 0) keep beta = 0
+        raise CoxFitError(
+            f"singular information matrix: the covariates are affinely collinear "
+            f"(rank {rank} of {data.d})"
+        )
     beta = np.zeros(data.d)
     threshold = SCORE_TOL * data.n
     ll, score, hess = kernels.cox_suffstats(beta, xs, ev, ends)

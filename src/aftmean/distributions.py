@@ -56,9 +56,8 @@ class ErrorLaw(_Law):
     Kinds: ``normal(sigma)``, ``gumbel(sigma)`` (max-extreme-value with
     location -sigma * EULER_GAMMA, so the mean is exactly zero),
     ``laplace(scale)``, ``logistic(scale)``, ``t(df)``, and ``evmin`` with
-    distribution function F(t) = 1 - exp(-e^t) and mean -EULER_GAMMA.  The
-    named constructors (``gumbel_max``, ``student_t``, ...) build the same
-    values as their words.
+    distribution function F(t) = 1 - exp(-e^t) and mean -EULER_GAMMA, e.g.
+    ``ErrorLaw("t", (30,))`` or ``ErrorLaw("evmin")``.
     """
 
     RULES = {
@@ -69,30 +68,6 @@ class ErrorLaw(_Law):
         "t": (1, lambda df: df > 0, "df > 0"),
         "evmin": (0, lambda: True, "no parameters"),
     }
-
-    @classmethod
-    def normal(cls, sigma: float) -> "ErrorLaw":
-        return cls("normal", (sigma,))
-
-    @classmethod
-    def gumbel_max(cls, sigma: float) -> "ErrorLaw":
-        return cls("gumbel", (sigma,))
-
-    @classmethod
-    def laplace(cls, scale: float) -> "ErrorLaw":
-        return cls("laplace", (scale,))
-
-    @classmethod
-    def logistic(cls, scale: float) -> "ErrorLaw":
-        return cls("logistic", (scale,))
-
-    @classmethod
-    def student_t(cls, df: float) -> "ErrorLaw":
-        return cls("t", (df,))
-
-    @classmethod
-    def extreme_value_min(cls) -> "ErrorLaw":
-        return cls("evmin")
 
     def mean(self) -> float:
         """Exact analytic mean."""
@@ -139,18 +114,6 @@ class CovariateLaw(_Law):
         "uniform": (2, lambda a, b: a < b, "a < b"),
     }
 
-    @classmethod
-    def bernoulli(cls, p: float) -> "CovariateLaw":
-        return cls("bernoulli", (p,))
-
-    @classmethod
-    def normal(cls, mu: float, sigma: float) -> "CovariateLaw":
-        return cls("normal", (mu, sigma))
-
-    @classmethod
-    def uniform(cls, a: float, b: float) -> "CovariateLaw":
-        return cls("uniform", (a, b))
-
     def sample(self, rng: np.random.Generator, size=None):
         if self.kind == "bernoulli":
             draw = rng.binomial(1, self.params[0], size)
@@ -165,15 +128,18 @@ class CensoringLaw:
     """Censoring time law: a uniform base truncated at ``tau``.
 
     Draws are ``min(Uniform(low, high), tau)`` with finite ``low < high``;
-    ``tau`` is a finite number or ``inf``, which reduces to the base law.
-    Complete data has no censoring law at all (``None``).
+    ``tau`` is a finite number or ``inf`` (the default), which reduces to the
+    base law.  The fields are stored as floats.  Complete data has no
+    censoring law at all (``None``).
     """
 
     low: float
     high: float
-    tau: float
+    tau: float = math.inf
 
     def __post_init__(self):
+        for name in ("low", "high", "tau"):
+            object.__setattr__(self, name, float(getattr(self, name)))
         _require_finite("censoring base", (self.low, self.high))
         if not (self.tau == math.inf or math.isfinite(self.tau)):
             raise ConfigError(f"censoring tau must be a finite number or inf, got {self.tau}")
@@ -181,10 +147,6 @@ class CensoringLaw:
             raise ConfigError(
                 f"censoring base needs low < high, got ({self.low}, {self.high})"
             )
-
-    @classmethod
-    def uniform(cls, low: float, high: float, tau: float = math.inf) -> "CensoringLaw":
-        return cls(float(low), float(high), float(tau))
 
     def sample(self, rng: np.random.Generator, size=None):
         draw = rng.uniform(self.low, self.high, size)

@@ -22,7 +22,7 @@ from scipy.optimize import minimize
 from . import kernels
 from .distributions import SeedSpec
 from .errors import DataError, EstimationError, GehanSolverError
-from .survfit import StepDistribution, TailDiagnostic, Truncation, km_fit, mean_of, tail_diagnostic
+from .survfit import StepDistribution, Truncation, km_fit, mean_of
 
 _SLACK_REL = 1e-10  # relative slack when locating zero crossings of the profile
 _TOL = 1e-6  # d > 1: Nelder-Mead xatol, and the step that ends coordinate descent
@@ -96,13 +96,17 @@ class SolverReport:
 
 @dataclass(frozen=True)
 class AftFit:
-    """Fitted censored linear model: slopes, KM-mean intercept, diagnostics."""
+    """Fitted censored linear model: slopes, KM-mean intercept, diagnostics.
+
+    ``tail`` is the residual curve's survival just before the truncation
+    point (the atom there); the paper's rule of thumb trusts the intercept
+    when it is below 0.15.
+    """
 
     intercept: float
     slopes: np.ndarray
-    bootstrap_se: np.ndarray | None
     residual_dist: StepDistribution
-    tail: TailDiagnostic
+    tail: float
     report: SolverReport
 
 
@@ -371,7 +375,7 @@ def _solve_with_report(data: DesignData, init) -> tuple[np.ndarray, SolverReport
 
     loss = lambda b: gehan_loss(b, data)
     iterations = 0
-    candidates = []
+    candidates = []  # (loss, slopes) per search; the first least loss wins
     for batch in batches:
         for start in batch:
             nm = minimize(
@@ -381,8 +385,8 @@ def _solve_with_report(data: DesignData, init) -> tuple[np.ndarray, SolverReport
                 options=dict(xatol=_TOL, fatol=1e-12, maxiter=200 * d, maxfev=200 * d),
             )
             iterations += nm.nit
-            candidates.append(nm.x)
-        best = min(candidates, key=loss)
+            candidates.append((nm.fun, nm.x))
+        best = min(candidates, key=lambda c: c[0])[1]
         try:
             beta, sweeps = _coordinate_descent(y, delta, x, best.copy())
             return _checked_report(
@@ -464,31 +468,15 @@ def solve_gehan(data: DesignData, init=None) -> np.ndarray:
     return beta
 
 
-def fit_aft(
-    data: DesignData,
-    *,
-    truncation: Truncation = Truncation.max_observed(),
-    init=None,
-    bootstrap: int = 0,
-    seed: int = 0,
-    tail_threshold: float = 0.15,
-) -> AftFit:
+def fit_aft(data: DesignData, *, truncation: Truncation = Truncation(), init=None) -> AftFit:
     """Full pipeline: rank-based slopes, then KM-mean intercept on the residuals.
 
-    ``init`` warm-starts the slope solve (see :func:`solve_gehan`); the
-    bootstrap resamples start from the fitted slopes, with the OLS starts
-    joining a resample's solve only when that single search misses.
+    ``init`` warm-starts the slope solve (see :func:`solve_gehan`);
+    ``truncation`` names where the residual distribution is forced to one.
     """
-    if bootstrap:
-        SeedSpec(seed)  # a bad seed stops the run before the full-data solve
     beta, report = _solve_with_report(data, init)
     dist = km_fit(residuals(data, beta), data.event, truncation)
-    alpha = mean_of(dist)
-    tail = tail_diagnostic(dist, tail_threshold)
-    se = None
-    if bootstrap:
-        se = bootstrap_se(data, bootstrap, seed, init=beta, truncation=truncation)
-    return AftFit(alpha, beta, se, dist, tail, report)
+    return AftFit(mean_of(dist), beta, dist, float(dist.masses[-1]), report)
 
 
 def bootstrap_se(
@@ -497,16 +485,17 @@ def bootstrap_se(
     seed: int = 0,
     *,
     init=None,
-    truncation: Truncation = Truncation.max_observed(),
+    truncation: Truncation = Truncation(),
 ) -> np.ndarray:
     """Nonparametric bootstrap standard errors for (intercept, slopes).
 
-    Resamples subjects with replacement and fits each with :func:`fit_aft`
-    under ``truncation``; resamples whose fit fails are dropped, and more
-    than 20% failures aborts with an error.  Each resample is solved from
-    ``init`` (the full-data slopes, fitted here when not given); at d > 1
-    the OLS starts join only when that single search fails or misses the
-    score bound (see :func:`solve_gehan`).
+    Resample ``b`` draws subjects with replacement from ``SeedSpec(seed, b)``
+    and is fitted by :func:`fit_aft` under ``truncation``; resamples whose
+    fit fails are dropped, and more than 20% failures aborts with an error.
+    Each resample is solved from ``init`` (pass the full-data slopes, as in
+    ``bootstrap_se(data, 500, seed=1, init=fit.slopes)``; they are fitted
+    here when not given); at d > 1 the OLS starts join only when that single
+    search fails or misses the score bound (see :func:`solve_gehan`).
     """
     if replicates < 2:
         raise GehanSolverError("bootstrap needs at least 2 replicates")

@@ -35,7 +35,7 @@ class Scenario(SubjectModel):
     n: int
     replications: int
     seed: int
-    truncation: Truncation = Truncation.max_observed()
+    truncation: Truncation = Truncation()
 
     def __post_init__(self):
         super().__post_init__()
@@ -57,17 +57,17 @@ class Scenario(SubjectModel):
         seed: int,
         x1: CovariateLaw | None = None,
         censor_base: tuple[float, float] = (0.0, 5.0),
-        truncation: Truncation = Truncation.max_observed(),
+        truncation: Truncation = Truncation(),
     ) -> "Scenario":
         """Intercept study: T = 2 + X1 + X2 + error, C ~ U(0,5) ^ tau."""
-        x1 = x1 or CovariateLaw.bernoulli(0.5)
+        x1 = x1 or CovariateLaw("bernoulli", (0.5,))
         return cls(
             study="estimation",
             error=error,
             covariates=(x1, x2),
             slopes=(1.0, 1.0),
             intercept=2.0 + error.mean(),
-            censoring=CensoringLaw.uniform(*censor_base, tau),
+            censoring=CensoringLaw(*censor_base, tau),
             n=n,
             replications=replications,
             seed=seed,
@@ -83,14 +83,14 @@ class Scenario(SubjectModel):
         replications: int,
         seed: int,
         censor_base: tuple[float, float] = (-3.0, 3.0),
-        truncation: Truncation = Truncation.max_observed(),
+        truncation: Truncation = Truncation(),
     ) -> "Scenario":
         """Prediction study: T = X + e0 (min-extreme-value), C ~ U(-3,3) ^ tau.
 
         ``tau = None`` is the no-censoring row of the comparison table.
         """
-        error = ErrorLaw.extreme_value_min()
-        cens = None if tau is None else CensoringLaw.uniform(*censor_base, tau)
+        error = ErrorLaw("evmin")
+        cens = None if tau is None else CensoringLaw(*censor_base, tau)
         return cls(
             study="prediction",
             error=error,
@@ -280,14 +280,13 @@ def _censor_base(kind: str, params: tuple[float, ...]) -> tuple[float, float]:
     """The ``cens`` key's ``uniform(low, high)``, checked as a censoring law."""
     if kind != "uniform" or len(params) != 2:
         raise ConfigError("censoring base must be uniform(low, high)")
-    law = CensoringLaw.uniform(*params)
+    law = CensoringLaw(*params)
     return law.low, law.high
 
 
-_SCENARIO_KEYS = {
-    "study", "error", "x", "x1", "x2", "cens", "tau", "n", "reps", "seed",
-    "mode", "epsilon",
-}
+_COMMON_KEYS = {"study", "cens", "tau", "n", "reps", "seed", "mode", "epsilon"}
+_LAW_KEYS = {"estimation": {"error", "x1", "x2"}, "prediction": {"x"}}
+_SCENARIO_KEYS = _COMMON_KEYS.union(*_LAW_KEYS.values())
 
 
 def parse_scenario_text(text: str, *, reps_override: int | None = None,
@@ -296,7 +295,11 @@ def parse_scenario_text(text: str, *, reps_override: int | None = None,
                         epsilon_override: float | None = None) -> Scenario:
     """Build a Scenario from flat ``key = value`` text (# starts a comment).
 
-    An override that is not None replaces the file's value for its key.
+    An override that is not None replaces the file's value for its key.  A
+    key given twice, a law key the study does not read (``error`` or ``x2``
+    in a prediction file, ``x`` in an estimation file) and a ``tau`` other
+    than ``inf`` beside ``cens = none`` raise :class:`ConfigError` naming
+    the key, rather than being dropped.
     """
     entries: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -309,6 +312,8 @@ def parse_scenario_text(text: str, *, reps_override: int | None = None,
         key = key.strip().lower()
         if key not in _SCENARIO_KEYS:
             raise ConfigError(f"scenario line {lineno}: unknown key {key!r}")
+        if key in entries:
+            raise ConfigError(f"scenario line {lineno}: key {key!r} is given twice")
         entries[key] = value.strip()
 
     def need(key):
@@ -317,6 +322,11 @@ def parse_scenario_text(text: str, *, reps_override: int | None = None,
         return entries[key]
 
     study = need("study").lower()
+    if study not in _LAW_KEYS:
+        raise ConfigError(f"unknown study {study!r}")
+    stray = sorted(entries.keys() - _COMMON_KEYS - _LAW_KEYS[study])
+    if stray:
+        raise ConfigError(f"scenario key {stray[0]!r} is not read by a {study} study")
     n = _number("n", need("n"), int)
     reps = reps_override if reps_override is not None else _number("reps", need("reps"), int)
     seed = seed_override if seed_override is not None else _number("seed", need("seed"), int)
@@ -330,6 +340,8 @@ def parse_scenario_text(text: str, *, reps_override: int | None = None,
         raise ConfigError("tau = none is not accepted; write cens = none for uncensored data")
     tau = _number("tau", entries.get("tau", "inf"))
     cens = entries.get("cens", "").lower()
+    if cens == "none" and tau != math.inf:
+        raise ConfigError(f"scenario key 'tau': {tau:g} is not read with cens = none")
     base = {}  # an absent ``cens`` keeps the study's default base
     if cens not in ("", "none"):
         base = {"censor_base": _parse_law("cens", cens, _censor_base)}
@@ -342,11 +354,9 @@ def parse_scenario_text(text: str, *, reps_override: int | None = None,
             error, x2, tau, n, reps, seed, x1=x1,
             truncation=truncation, **base,
         )
-    elif study == "prediction":
+    else:
         x = _parse_law("x", need("x"), CovariateLaw)
         scenario = Scenario.prediction(x, tau, n, reps, seed, truncation=truncation, **base)
-    else:
-        raise ConfigError(f"unknown study {study!r}")
     if cens == "none":
         scenario = replace(scenario, censoring=None)
     return scenario

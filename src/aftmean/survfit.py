@@ -23,7 +23,8 @@ class Truncation:
 
     ``mode`` is named as on the CLI and in scenario files: ``"maxobs"`` puts
     the remaining mass at the largest residual, ``"theoretical"`` at the
-    largest residual whose at-risk fraction is still >= n**(-epsilon).
+    largest residual whose at-risk fraction is still >= n**(-epsilon), as in
+    ``Truncation("theoretical", 0.125)``; ``Truncation()`` is maxobs.
     Another mode, or a theoretical epsilon outside (0, 1/8], raises
     :class:`ConfigError`; maxobs reads no epsilon and stores None.
     """
@@ -41,14 +42,6 @@ class Truncation:
         else:
             object.__setattr__(self, "epsilon", float(self.epsilon))
 
-    @classmethod
-    def max_observed(cls) -> "Truncation":
-        return cls("maxobs")
-
-    @classmethod
-    def theoretical(cls, epsilon: float = 0.125) -> "Truncation":
-        return cls("theoretical", epsilon)
-
 
 @dataclass(frozen=True)
 class StepDistribution:
@@ -56,13 +49,21 @@ class StepDistribution:
 
     ``support`` lists the jump locations ascending; the final entry is the
     truncation point, whose mass absorbs everything the event jumps below
-    it left unexplained.  ``cdf_values[k]`` is F at ``support[k]``.
+    it left unexplained.  ``cdf_values[k]`` is F at ``support[k]``, so the
+    last is exactly one.  ``masses`` and ``truncation`` are read from them.
     """
 
     support: np.ndarray
-    masses: np.ndarray
     cdf_values: np.ndarray
-    truncation: float
+
+    @property
+    def masses(self) -> np.ndarray:
+        """Jump sizes of F; the last is the truncation atom."""
+        return np.diff(self.cdf_values, prepend=0.0)
+
+    @property
+    def truncation(self) -> float:
+        return float(self.support[-1])
 
     def cdf(self, t):
         """F(t), zero below the first jump and exactly one from the truncation on."""
@@ -72,16 +73,7 @@ class StepDistribution:
         return float(out) if out.ndim == 0 else out
 
 
-@dataclass(frozen=True)
-class TailDiagnostic:
-    """Rule-of-thumb check that the residual curve nearly reaches zero."""
-
-    tail_value: float
-    adequate: bool
-    threshold: float
-
-
-def km_fit(residuals, events, truncation: Truncation = Truncation.max_observed()) -> StepDistribution:
+def km_fit(residuals, events, truncation: Truncation = Truncation()) -> StepDistribution:
     """Product-limit estimate of the residual distribution, truncated to mass one.
 
     ``residuals`` and ``events`` are equal-length vectors in any order;
@@ -116,25 +108,12 @@ def km_fit(residuals, events, truncation: Truncation = Truncation.max_observed()
     cdf = 1.0 - np.cumprod(1.0 - deaths[has_event] / at_risk[has_event])
 
     below = u < t_n
-    jump_cdf = cdf[below]
-    masses = np.diff(np.concatenate([[0.0], jump_cdf]))
-    cdf_before = float(jump_cdf[-1]) if below.any() else 0.0
-
-    support = np.append(u[below], t_n)
-    masses = np.append(masses, 1.0 - cdf_before)
-    cdf_values = np.append(jump_cdf, 1.0)
-    return StepDistribution(support, masses, cdf_values, t_n)
+    return StepDistribution(np.append(u[below], t_n), np.append(cdf[below], 1.0))
 
 
 def mean_of(dist: StepDistribution) -> float:
     """Mean of the step distribution, truncation atom included."""
     return float(dist.support @ dist.masses)
-
-
-def tail_diagnostic(dist: StepDistribution, threshold: float = 0.15) -> TailDiagnostic:
-    """Survival just before the truncation point (its atom), flagged against ``threshold``."""
-    tail = float(dist.masses[-1])
-    return TailDiagnostic(tail, tail < threshold, threshold)
 
 
 def curve_points(dist: StepDistribution) -> np.ndarray:

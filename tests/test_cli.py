@@ -520,6 +520,32 @@ def test_threshold_outside_unit_interval_exits_config_error(
     assert solves == []  # the threshold is checked before anything is fitted
 
 
+PREDICTION_BODY = (
+    "study = prediction\nx = normal(0,1)\ncens = uniform(-3,3)\ntau = 0\n"
+    "n = 40\nreps = 2\nseed = 6\n"
+)
+
+
+@pytest.mark.parametrize(
+    "body, key",
+    [
+        (PREDICTION_BODY + "error = t(3)\n", "error"),
+        (PREDICTION_BODY + "x2 = normal(0,1)\n", "x2"),
+        (TAU4_BODY + "x = normal(0,1)\n", "x"),
+        (TAU4_BODY.replace("tau = 4", "cens = none\ntau = -2"), "tau"),
+        (TAU4_BODY.replace("n = 50", "n = 50\nn = 100"), "n"),
+    ],
+    ids=["prediction-error", "prediction-x2", "estimation-x", "tau-beside-cens-none", "n-twice"],
+)
+def test_cmd_simulate_key_it_would_ignore_exits_config_error(tmp_path, capsys, body, key):
+    cfg = tmp_path / "ignored.cfg"
+    cfg.write_text(body)
+    assert _simulate_csv(cfg, tmp_path / "out.csv")[0] == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ")
+    assert f"{key!r}" in err
+
+
 # ---------------------------------------------------------------- km-check
 
 
@@ -542,12 +568,14 @@ def test_cmd_km_check_heavy_censoring(tmp_path, capsys):
             [1.0, 0, 0.6], [1.0, 0, 0.1], [1.0, 0, 0.8], [1.0, 0, 0.3]]
     path = tmp_path / "h.csv"
     write_csv(path, ["t", "e", "x"], rows)
-    code = main(
-        ["km-check", "--input", str(path), "--response", "t", "--event", "e",
-         "--covariates", "x"]
-    )
-    assert code == EXIT_OK
+    argv = ["km-check", "--input", str(path), "--response", "t", "--event", "e",
+            "--covariates", "x"]
+    assert main(argv) == EXIT_OK
     assert "NOT adequate" in capsys.readouterr().out
+    # the same tail passes a threshold above it
+    assert main(argv + ["--threshold", "1"]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert "adequate (threshold 1)" in out and "NOT" not in out
 
 
 @pytest.mark.parametrize("command", ["predict-cv", "km-check"])

@@ -26,8 +26,8 @@ def model41_sample(seed, n, censored=False):
     model = SubjectModel(
         intercept=-0.5772156649015329,
         slopes=(1.0,),
-        error=ErrorLaw.extreme_value_min(),
-        covariates=(CovariateLaw.normal(0.0, 1.0),),
+        error=ErrorLaw("evmin"),
+        covariates=(CovariateLaw("normal", (0.0, 1.0)),),
         censoring=None,
     )
     y, ev, x = model.sample(SeedSpec(seed).generator(), n)
@@ -147,6 +147,17 @@ def test_fit_constant_covariate():
         assert fit.slopes[0] == 0.0
         with pytest.raises(CoxFitError, match="singular information matrix"):
             fit_cox(DesignData(y, ev, np.column_stack([x[:, 0], np.full(50, c)])))
+
+
+@pytest.mark.parametrize("n", [20, 200, 2000])
+def test_fit_affinely_collinear_covariates_raise(n):
+    # x2 = 0.1 x1 + 0.3 leaves the split of the slope between x1 and x2
+    # arbitrary; Newton would solve against an information matrix that is
+    # singular up to rounding and return whatever split the noise gave
+    y, ev, x = random_censored_sample(np.random.default_rng(n), n, d=1)
+    collinear = np.column_stack([x[:, 0], 0.1 * x[:, 0] + 0.3])
+    with pytest.raises(CoxFitError, match="singular information matrix"):
+        fit_cox(DesignData(y, ev, collinear))
 
 
 def test_fit_score_norm_invariant(rng):

@@ -446,8 +446,8 @@ def test_d1_fit_enumerates_few_kinks_in_little_memory(monkeypatch):
     model = SubjectModel(
         intercept=0.0,
         slopes=(1.0,),
-        error=ErrorLaw.extreme_value_min(),
-        covariates=(CovariateLaw.normal(0.0, 1.0),),
+        error=ErrorLaw("evmin"),
+        covariates=(CovariateLaw("normal", (0.0, 1.0)),),
         censoring=None,
     )
     y, ev, x = model.sample(SeedSpec(7, 0).generator(), 2000)
@@ -597,8 +597,8 @@ def test_d2_fit_enumerates_few_kinks_in_little_memory(monkeypatch):
     model = SubjectModel(
         intercept=0.0,
         slopes=(1.0, 1.0),
-        error=ErrorLaw.extreme_value_min(),
-        covariates=(CovariateLaw.normal(0.0, 1.0), CovariateLaw.normal(0.0, 1.0)),
+        error=ErrorLaw("evmin"),
+        covariates=(CovariateLaw("normal", (0.0, 1.0)), CovariateLaw("normal", (0.0, 1.0))),
         censoring=None,
     )
     y, ev, x = model.sample(SeedSpec(7, 0).generator(), 2000)
@@ -648,8 +648,8 @@ def test_consistency_trend_scenario_a():
     model = SubjectModel(
         intercept=2.0,
         slopes=(1.0, 1.0),
-        error=ErrorLaw.normal(0.5),
-        covariates=(CovariateLaw.bernoulli(0.5), CovariateLaw.normal(0.0, 1.0)),
+        error=ErrorLaw("normal", (0.5,)),
+        covariates=(CovariateLaw("bernoulli", (0.5,)), CovariateLaw("normal", (0.0, 1.0))),
         censoring=None,
     )
 

@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from aftmean.errors import ConfigError, DegenerateKMError
-from aftmean.survfit import Truncation, curve_points, km_fit, mean_of, tail_diagnostic
+from aftmean.survfit import Truncation, curve_points, km_fit, mean_of
 from oracles import km_cdf_literal, km_mean_literal
 
 
-@pytest.mark.parametrize("truncation", [Truncation.max_observed(), Truncation.theoretical(0.1)])
+@pytest.mark.parametrize("truncation", [Truncation(), Truncation("theoretical", 0.1)])
 def test_fit_ignores_input_order(rng, truncation):
     # residuals on a coarse grid tie often, events and censorings alike
     for _ in range(50):
@@ -137,36 +137,36 @@ def test_late_censoring_leaves_lower_curve_alone(rng):
 def test_truncation_time_direct_scan():
     vals = [0.1, 0.5, 0.9, 1.3]
     # n=4, eps=1/8: threshold 4**-0.125 ~ 0.841 -> need r(u) >= 3.37, so r=4
-    t = km_fit(vals, [1, 1, 1, 1], Truncation.theoretical(0.125)).truncation
+    t = km_fit(vals, [1, 1, 1, 1], Truncation("theoretical", 0.125)).truncation
     scan = max(u for u in vals if sum(v >= u for v in vals) / 4 >= 4 ** (-0.125))
     assert t == scan == 0.1
 
 
 def test_truncation_eps_to_zero_gives_smallest():
-    dist = km_fit([2.0, 3.0, 5.0, 7.0], [1, 0, 1, 0], Truncation.theoretical(1e-9))
+    dist = km_fit([2.0, 3.0, 5.0, 7.0], [1, 0, 1, 0], Truncation("theoretical", 1e-9))
     assert dist.truncation == 2.0
 
 
 def test_truncation_modes():
     vals = [0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0]
     ev = [1, 1, 1, 1, 1, 1, 1, 0]
-    dist = km_fit(vals, ev, Truncation.max_observed())
+    dist = km_fit(vals, ev, Truncation())
     assert dist.truncation == 7.0
-    th = km_fit(vals, ev, Truncation.theoretical(0.125))
+    th = km_fit(vals, ev, Truncation("theoretical", 0.125))
     # n=8: threshold 8**-1/8 = 0.771 -> r >= 6.17 -> largest value with r >= 7
     assert th.truncation == 1.0
     assert th.cdf(1.0) == 1.0
     assert mean_of(th) == pytest.approx(0.0 * (1 / 8) + 1.0 * (7 / 8))
     with pytest.raises(ConfigError):
-        Truncation.theoretical(0.2)
+        Truncation("theoretical", 0.2)
     with pytest.raises(ConfigError):
-        Truncation.theoretical(0.0)
+        Truncation("theoretical", 0.0)
 
 
 def test_truncation_checks_its_mode_and_epsilon():
-    assert Truncation("maxobs", 0.5) == Truncation.max_observed()
-    assert Truncation.max_observed().epsilon is None
-    assert Truncation("theoretical", 0.1) == Truncation.theoretical(0.1)
+    assert Truncation("maxobs", 0.5) == Truncation()
+    assert Truncation().epsilon is None
+    assert Truncation("theoretical", 0.1) == Truncation("theoretical", 0.1)
     for mode in ("bogus", "median", "threshold", "max_observed"):
         with pytest.raises(ConfigError, match=f"unknown truncation mode '{mode}'"):
             Truncation(mode, 0.1)
@@ -177,22 +177,21 @@ def test_truncation_checks_its_mode_and_epsilon():
             Truncation("theoretical", epsilon)
 
 
-def test_tail_diagnostic_uncensored():
-    for n in (8, 100):
+def test_tail_atom_uncensored():
+    # complete data: the atom at the largest residual is the last KM jump, 1/n
+    for n in (6, 8, 100):
         vals = np.linspace(0, 1, n)
-        diag = tail_diagnostic(km_fit(vals, np.ones(n)))
-        assert diag.tail_value == pytest.approx(1.0 / n, abs=1e-12)
-        assert diag.adequate
-    diag6 = tail_diagnostic(km_fit(np.arange(6.0), np.ones(6)))
-    assert not diag6.adequate  # 1/6 > 0.15
+        dist = km_fit(vals, np.ones(n))
+        assert dist.masses[-1] == pytest.approx(1.0 / n, abs=1e-12)
+        assert dist.masses[-1] == 1.0 - dist.cdf_values[-2]
 
 
-def test_tail_diagnostic_heavy_censoring():
+def test_tail_atom_heavy_censoring():
     dist = km_fit([1, 2, 2, 2], [1, 0, 0, 0])
-    diag = tail_diagnostic(dist)
-    assert diag.tail_value == pytest.approx(0.75)
-    assert not diag.adequate
-    assert tail_diagnostic(dist, threshold=0.8).adequate
+    np.testing.assert_array_equal(dist.support, [1.0, 2.0])
+    np.testing.assert_array_equal(dist.cdf_values, [0.25, 1.0])
+    np.testing.assert_array_equal(dist.masses, [0.25, 0.75])
+    assert dist.truncation == 2.0
 
 
 def test_curve_points_layout():
