@@ -33,19 +33,15 @@ from .gehan import (
     gehan_score,
     predict_aft,
     residuals,
-    solve_gehan,
 )
 from .simulation import (
-    OlsFit,
     Scenario,
     SummaryTable,
     censoring_rate,
     mse_p,
-    ols_fit,
     run_estimation_scenario,
     run_prediction_scenario,
     summary_csv_text,
-    with_prediction_ratios,
 )
 from .survfit import (
     StepDistribution,

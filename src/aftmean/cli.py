@@ -11,7 +11,6 @@ import argparse
 import csv
 import math
 import sys
-from dataclasses import replace
 from importlib import resources
 from pathlib import Path
 
@@ -26,7 +25,6 @@ from .simulation import (
     run_estimation_scenario,
     run_prediction_scenario,
     summary_csv_text,
-    with_prediction_ratios,
 )
 from .survfit import Truncation, curve_points
 
@@ -111,8 +109,7 @@ def _tail_verdict(tail: float, threshold: float) -> str:
 
 def cmd_fit(args) -> int:
     data = _load_design(args)
-    if args.boot:
-        SeedSpec(args.seed)  # a bad seed stops the run before the full-data solve
+    SeedSpec(args.seed)  # a bad seed stops the run before the full-data solve
     truncation = Truncation(args.mode, args.epsilon)
     fit = fit_aft(data, truncation=truncation)
     terms = ["intercept", *args.covariates]
@@ -204,15 +201,12 @@ def cmd_simulate(args) -> int:
         mode_override=args.mode,
         epsilon_override=args.epsilon,
     )
+    # the runners are looked up on this module at call time, so a wrapper
+    # installed here sees them
     if scenario.study == "estimation":
         table = run_estimation_scenario(scenario)
     else:
         table = run_prediction_scenario(scenario)
-        baseline = (
-            table if scenario.uncensored
-            else run_prediction_scenario(replace(scenario, censoring=None))
-        )
-        table = with_prediction_ratios(table, baseline)
     csv_text = summary_csv_text(table)
     with open(args.output, "w", newline="") as handle:
         handle.write(csv_text)

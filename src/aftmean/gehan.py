@@ -8,6 +8,23 @@ whose (almost-everywhere) gradient is the rank-based estimating function
 
     score(beta) = n**-2 * sum_i sum_j  event_i * 1(e_j >= e_i) * (x_i - x_j).
 
+``d = 1`` is solved exactly in O(n log n) time and O(n) memory: bisection
+on the one-sided derivative of the piecewise-linear profile, started from
+``init`` or the event-only OLS slope, brackets the minimum until few
+subjects change residual order across it; the kinks of their pairs then
+give the minimizer (midpoint of a flat bottom), the same value a scan of
+every kink gives.  A flat or unbounded profile raises from the same search,
+in O(n) memory, carrying the finite end of the flat ray.  Higher dimensions
+run deterministic Nelder-Mead with a coordinate-descent polish, each
+coordinate step that line search; the result must drive the estimating
+function below the discreteness-scale bound (coordinate range / n) or a
+:class:`GehanSolverError` is raised carrying the best iterate.  Without
+``init`` (a cold start) the searches start from zero, the event-only OLS
+slopes and OLS +- 1.  With ``init`` (a warm start, such as full-data slopes
+for a resample) one search starts there; the OLS starts join only when it
+fails or misses the bound, and the result is then the best of all four.
+``init`` must hold d finite values, else :class:`DataError`.
+
 The intercept is the mean of the Kaplan-Meier estimate fitted to the
 residuals at the estimated slopes.
 """
@@ -444,34 +461,10 @@ def _coordinate_descent(y, delta, x, beta):
     return beta, sweep + 1
 
 
-def solve_gehan(data: DesignData, init=None) -> np.ndarray:
-    """Slope estimate minimizing the Gehan rank objective.
-
-    ``d = 1`` is solved exactly in O(n log n) time and O(n) memory: bisection
-    on the one-sided derivative of the piecewise-linear profile, started from
-    ``init`` or the event-only OLS slope, brackets the minimum until few
-    subjects change residual order across it; the kinks of their pairs then
-    give the minimizer (midpoint of a flat bottom), the same value a scan of
-    every kink gives.  A flat or unbounded profile raises from the same
-    search, in O(n) memory, carrying the finite end of the flat ray.  Higher
-    dimensions run deterministic Nelder-Mead with a coordinate-descent
-    polish, each coordinate step that line search; the result must drive
-    the estimating function below the discreteness-scale bound (coordinate
-    range / n) or a :class:`GehanSolverError` is raised carrying the best
-    iterate.  Without ``init`` the searches start from zero, the event-only
-    OLS slopes and OLS +- 1.  With ``init`` (a warm start, such as full-data
-    slopes for a resample) one search starts there; the OLS starts join only
-    when it fails or misses the bound, and the result is then the best of
-    all four.  ``init`` must hold d finite values, else :class:`DataError`.
-    """
-    beta, _ = _solve_with_report(data, init)
-    return beta
-
-
 def fit_aft(data: DesignData, *, truncation: Truncation = Truncation(), init=None) -> AftFit:
     """Full pipeline: rank-based slopes, then KM-mean intercept on the residuals.
 
-    ``init`` warm-starts the slope solve (see :func:`solve_gehan`);
+    ``init`` warm-starts the slope solve (see the module docstring);
     ``truncation`` names where the residual distribution is forced to one.
     """
     beta, report = _solve_with_report(data, init)
@@ -495,7 +488,7 @@ def bootstrap_se(
     Each resample is solved from ``init`` (pass the full-data slopes, as in
     ``bootstrap_se(data, 500, seed=1, init=fit.slopes)``; they are fitted
     here when not given); at d > 1 the OLS starts join only when that single
-    search fails or misses the score bound (see :func:`solve_gehan`).
+    search fails or misses the score bound (see the module docstring).
     """
     if replicates < 2:
         raise GehanSolverError("bootstrap needs at least 2 replicates")

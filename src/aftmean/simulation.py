@@ -28,7 +28,8 @@ class Scenario(SubjectModel):
 
     The model fields (intercept, slopes, error, covariates, censoring) are
     inherited, so replicates draw from ``scenario.sample`` directly.
-    ``study`` is ``"estimation"`` or ``"prediction"``.
+    ``study`` is ``"estimation"`` or ``"prediction"``; the two studies'
+    designs are written once, in :func:`parse_scenario_text`.
     """
 
     study: str
@@ -45,74 +46,6 @@ class Scenario(SubjectModel):
             raise ConfigError("replications must be >= 1")
         if self.n < 2:
             raise ConfigError("sample size must be >= 2")
-
-    @classmethod
-    def estimation(
-        cls,
-        error: ErrorLaw,
-        x2: CovariateLaw,
-        tau: float,
-        n: int,
-        replications: int,
-        seed: int,
-        x1: CovariateLaw | None = None,
-        censor_base: tuple[float, float] = (0.0, 5.0),
-        truncation: Truncation = Truncation(),
-    ) -> "Scenario":
-        """Intercept study: T = 2 + X1 + X2 + error, C ~ U(0,5) ^ tau."""
-        x1 = x1 or CovariateLaw("bernoulli", (0.5,))
-        return cls(
-            study="estimation",
-            error=error,
-            covariates=(x1, x2),
-            slopes=(1.0, 1.0),
-            intercept=2.0 + error.mean(),
-            censoring=CensoringLaw(*censor_base, tau),
-            n=n,
-            replications=replications,
-            seed=seed,
-            truncation=truncation,
-        )
-
-    @classmethod
-    def prediction(
-        cls,
-        x: CovariateLaw,
-        tau: float | None,
-        n: int,
-        replications: int,
-        seed: int,
-        censor_base: tuple[float, float] = (-3.0, 3.0),
-        truncation: Truncation = Truncation(),
-    ) -> "Scenario":
-        """Prediction study: T = X + e0 (min-extreme-value), C ~ U(-3,3) ^ tau.
-
-        ``tau = None`` is the no-censoring row of the comparison table.
-        """
-        error = ErrorLaw("evmin")
-        cens = None if tau is None else CensoringLaw(*censor_base, tau)
-        return cls(
-            study="prediction",
-            error=error,
-            covariates=(x,),
-            slopes=(1.0,),
-            intercept=error.mean(),
-            censoring=cens,
-            n=n,
-            replications=replications,
-            seed=seed,
-            truncation=truncation,
-        )
-
-    @property
-    def uncensored(self) -> bool:
-        return self.censoring is None
-
-
-@dataclass(frozen=True)
-class OlsFit:
-    intercept: float
-    slopes: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -143,16 +76,6 @@ def mse_p(predictions, truths) -> float:
 def censoring_rate(data: DesignData) -> float:
     """Fraction of censored subjects."""
     return float(1.0 - data.event.mean())
-
-
-def ols_fit(data: DesignData) -> OlsFit:
-    """Ordinary least squares on uncensored data."""
-    if not data.event.all():
-        raise DataError("OLS baseline requires fully uncensored data")
-    coef = event_ols(data)
-    if coef is None:
-        raise DataError("rank-deficient design matrix")
-    return OlsFit(float(coef[0]), coef[1:])
 
 
 def _replicate(scenario: Scenario, parameters, estimate) -> SummaryTable:
@@ -213,12 +136,13 @@ def run_prediction_scenario(scenario: Scenario) -> SummaryTable:
     independent test set of true failure times; it fits the linear and Cox
     models on the training data and records both MSEs, plus the OLS
     baseline when the scenario is censoring-free.  Failed replicates count
-    against the 5% cap, as in the estimation study.  Ratios against the
-    no-censoring table are attached by :func:`with_prediction_ratios`.
+    against the 5% cap, as in the estimation study.  ``ratios`` are the
+    no-censoring mean MSEs over this table's: a censored scenario reruns
+    itself with ``censoring=None`` and the same seed to get them.
     """
     if scenario.study != "prediction":
         raise ConfigError("scenario is not a prediction study")
-    with_ols = scenario.uncensored
+    with_ols = scenario.censoring is None
 
     def estimate(rng, data):
         t_star, x_star = scenario.sample_true(rng, scenario.n)
@@ -226,23 +150,16 @@ def run_prediction_scenario(scenario: Scenario) -> SummaryTable:
         mses = [mse_p(predict_aft(aft, x_star), t_star),
                 mse_p(predict_cox_mean(fit_cox(data), x_star), t_star)]
         if with_ols:
-            ols = ols_fit(data)
-            mses.append(mse_p(ols.intercept + x_star @ ols.slopes, t_star))
+            coef = event_ols(data)
+            if coef is None:
+                raise DataError("rank-deficient design matrix")
+            mses.append(mse_p(coef[0] + x_star @ coef[1:], t_star))
         return np.asarray(mses)
 
     names = ("linear", "cox") + (("ols",) if with_ols else ())
-    return _replicate(scenario, names, estimate)
-
-
-def with_prediction_ratios(table: SummaryTable, baseline: SummaryTable) -> SummaryTable:
-    """Attach mean-MSE ratios (no-censoring mean over this table's mean)."""
-    if table.study != "prediction" or baseline.study != "prediction":
-        raise ConfigError("ratios are defined for prediction tables only")
-    base = dict(zip(baseline.parameters, baseline.means))
-    ratios = np.array(
-        [base.get(p, np.nan) / m for p, m in zip(table.parameters, table.means)]
-    )
-    return replace(table, ratios=ratios)
+    table = _replicate(scenario, names, estimate)
+    baseline = table if with_ols else run_prediction_scenario(replace(scenario, censoring=None))
+    return replace(table, ratios=baseline.means[: len(names)] / table.means)
 
 
 # ---------------------------------------------------------------------------
@@ -276,17 +193,17 @@ def _parse_law(key: str, text: str, law):
         raise ConfigError(f"scenario key {key!r}: {exc}") from None
 
 
-def _censor_base(kind: str, params: tuple[float, ...]) -> tuple[float, float]:
+def _censoring_base(kind: str, params: tuple[float, ...]) -> CensoringLaw:
     """The ``cens`` key's ``uniform(low, high)``, checked as a censoring law."""
     if kind != "uniform" or len(params) != 2:
         raise ConfigError("censoring base must be uniform(low, high)")
-    law = CensoringLaw(*params)
-    return law.low, law.high
+    return CensoringLaw(*params)
 
 
 _COMMON_KEYS = {"study", "cens", "tau", "n", "reps", "seed", "mode", "epsilon"}
 _LAW_KEYS = {"estimation": {"error", "x1", "x2"}, "prediction": {"x"}}
 _SCENARIO_KEYS = _COMMON_KEYS.union(*_LAW_KEYS.values())
+_DEFAULT_CENS = {"estimation": "uniform(0,5)", "prediction": "uniform(-3,3)"}
 
 
 def parse_scenario_text(text: str, *, reps_override: int | None = None,
@@ -295,11 +212,18 @@ def parse_scenario_text(text: str, *, reps_override: int | None = None,
                         epsilon_override: float | None = None) -> Scenario:
     """Build a Scenario from flat ``key = value`` text (# starts a comment).
 
-    An override that is not None replaces the file's value for its key.  A
-    key given twice, a law key the study does not read (``error`` or ``x2``
-    in a prediction file, ``x`` in an estimation file) and a ``tau`` other
-    than ``inf`` beside ``cens = none`` raise :class:`ConfigError` naming
-    the key, rather than being dropped.
+    The two studies' designs are stated here and nowhere else:
+
+    - estimation: T = 2 + X1 + X2 + error, C ~ U(0, 5) ^ tau, X1 ~ bernoulli(0.5);
+    - prediction: T = X + e0 with min-extreme-value e0, C ~ U(-3, 3) ^ tau.
+
+    ``cens`` replaces the uniform base, and ``cens = none`` gives complete
+    data (``censoring=None``).  An override that is not None replaces the
+    file's value for its key.  A key given twice, a law key the study does
+    not read (``error`` or ``x2`` in a prediction file, ``x`` in an
+    estimation file), an ``epsilon`` in a file whose ``mode`` is not
+    ``theoretical`` and a ``tau`` other than ``inf`` beside ``cens = none``
+    raise :class:`ConfigError` naming the key, rather than being dropped.
     """
     entries: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -330,7 +254,10 @@ def parse_scenario_text(text: str, *, reps_override: int | None = None,
     n = _number("n", need("n"), int)
     reps = reps_override if reps_override is not None else _number("reps", need("reps"), int)
     seed = seed_override if seed_override is not None else _number("seed", need("seed"), int)
-    mode = (mode_override or entries.get("mode", "maxobs")).lower()
+    file_mode = entries.get("mode", "maxobs").lower()
+    if "epsilon" in entries and file_mode != "theoretical":
+        raise ConfigError(f"scenario key 'epsilon' is not read with mode = {file_mode}")
+    mode = (mode_override or file_mode).lower()
     epsilon = epsilon_override
     if epsilon is None and mode == "theoretical":
         epsilon = _number("epsilon", entries.get("epsilon", "0.125"))
@@ -339,31 +266,34 @@ def parse_scenario_text(text: str, *, reps_override: int | None = None,
     if entries.get("tau", "").lower() == "none":
         raise ConfigError("tau = none is not accepted; write cens = none for uncensored data")
     tau = _number("tau", entries.get("tau", "inf"))
-    cens = entries.get("cens", "").lower()
+    cens = (entries.get("cens") or _DEFAULT_CENS[study]).lower()
     if cens == "none" and tau != math.inf:
         raise ConfigError(f"scenario key 'tau': {tau:g} is not read with cens = none")
-    base = {}  # an absent ``cens`` keeps the study's default base
-    if cens not in ("", "none"):
-        base = {"censor_base": _parse_law("cens", cens, _censor_base)}
+    base = None if cens == "none" else _parse_law("cens", cens, _censoring_base)
 
     if study == "estimation":
         error = _parse_law("error", need("error"), ErrorLaw)
         x2 = _parse_law("x2", need("x2"), CovariateLaw)
-        x1 = _parse_law("x1", entries["x1"], CovariateLaw) if "x1" in entries else None
-        scenario = Scenario.estimation(
-            error, x2, tau, n, reps, seed, x1=x1,
-            truncation=truncation, **base,
-        )
+        x1 = _parse_law("x1", entries.get("x1", "bernoulli(0.5)"), CovariateLaw)
+        design = dict(covariates=(x1, x2), slopes=(1.0, 1.0), intercept=2.0 + error.mean())
     else:
+        error = ErrorLaw("evmin")
         x = _parse_law("x", need("x"), CovariateLaw)
-        scenario = Scenario.prediction(x, tau, n, reps, seed, truncation=truncation, **base)
-    if cens == "none":
-        scenario = replace(scenario, censoring=None)
-    return scenario
+        design = dict(covariates=(x,), slopes=(1.0,), intercept=error.mean())
+    return Scenario(
+        study=study,
+        error=error,
+        **design,
+        censoring=None if base is None else replace(base, tau=tau),
+        n=n,
+        replications=reps,
+        seed=seed,
+        truncation=truncation,
+    )
 
 
 def _fmt(v) -> str:
-    if v is None or (isinstance(v, float) and math.isnan(v)):
+    if isinstance(v, float) and math.isnan(v):
         return ""
     return repr(float(v))
 
@@ -373,8 +303,7 @@ def summary_csv_text(table: SummaryTable) -> str:
     if table.study == "estimation":
         header, first, second = "parameter,mean,sd", table.means, table.sds
     else:
-        ratios = table.ratios if table.ratios is not None else [None] * len(table.means)
-        header, first, second = "model,ratio,mse", ratios, table.means
+        header, first, second = "model,ratio,mse", table.ratios, table.means
     lines = [f"{header},censoring_rate,n_replications,n_failed\n"]
     for name, a, b in zip(table.parameters, first, second):
         lines.append(

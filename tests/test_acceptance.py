@@ -16,6 +16,7 @@ import pytest
 
 import aftmean as am
 from aftmean.errors import GehanSolverError
+from aftmean.simulation import parse_scenario_text
 from conftest import random_censored_sample
 from oracles import (
     bisect_root,
@@ -117,7 +118,7 @@ def test_c03_solver_against_grid_minimization():
             continue
         data = am.DesignData(y, ev, x)
         try:
-            beta = am.solve_gehan(data)
+            beta = am.fit_aft(data).slopes
         except GehanSolverError:
             skipped += 1  # genuinely unbounded loss: no minimizer to compare
             continue
@@ -205,8 +206,9 @@ def test_c05_cox_newton_vs_bisection_and_nelson_aalen():
 
 
 def test_c06_estimation_tau4_n400():
-    sc = am.Scenario.estimation(
-        am.ErrorLaw("normal", (0.5,)), am.CovariateLaw("normal", (0.0, 1.0)), 4.0, 400, 300, 41004
+    sc = parse_scenario_text(
+        "study = estimation\nerror = normal(0.5)\nx2 = normal(0,1)\n"
+        "tau = 4\nn = 400\nreps = 300\nseed = 41004\n"
     )
     t = am.run_estimation_scenario(sc)
     _report(
@@ -221,8 +223,9 @@ def test_c06_estimation_tau4_n400():
 
 
 def test_c07_estimation_tau15_n100_heavy_censoring():
-    sc = am.Scenario.estimation(
-        am.ErrorLaw("normal", (0.5,)), am.CovariateLaw("normal", (0.0, 1.0)), 1.5, 100, 300, 2222
+    sc = parse_scenario_text(
+        "study = estimation\nerror = normal(0.5)\nx2 = normal(0,1)\n"
+        "tau = 1.5\nn = 100\nreps = 300\nseed = 2222\n"
     )
     t = am.run_estimation_scenario(sc)
     _report(
@@ -236,8 +239,9 @@ def test_c07_estimation_tau15_n100_heavy_censoring():
 
 
 def test_c08_estimation_bias_case_narrow_support():
-    sc = am.Scenario.estimation(
-        am.ErrorLaw("t", (30,)), am.CovariateLaw("uniform", (-0.5, 0.0)), 1.5, 400, 300, 777
+    sc = parse_scenario_text(
+        "study = estimation\nerror = t(30)\nx2 = uniform(-0.5,0)\n"
+        "tau = 1.5\nn = 400\nreps = 300\nseed = 777\n"
     )
     t = am.run_estimation_scenario(sc)
     _report(
@@ -253,10 +257,10 @@ def test_c08_estimation_bias_case_narrow_support():
 
 @pytest.fixture(scope="module")
 def prediction_tables():
-    xlaw = am.CovariateLaw("normal", (0.0, 1.0))
-    unc = am.run_prediction_scenario(am.Scenario.prediction(xlaw, None, 200, 300, 41002))
-    cen = am.run_prediction_scenario(am.Scenario.prediction(xlaw, -2.0, 200, 300, 41002))
-    return unc, am.with_prediction_ratios(cen, unc)
+    body = "study = prediction\nx = normal(0,1)\nn = 200\nreps = 300\nseed = 41002\n"
+    unc = am.run_prediction_scenario(parse_scenario_text(body + "cens = none\n"))
+    cen = am.run_prediction_scenario(parse_scenario_text(body + "tau = -2\n"))
+    return unc, cen
 
 
 def test_c09_prediction_tau_minus2(prediction_tables):
@@ -303,7 +307,7 @@ def test_c11_cross_model_slopes_cancel():
     for r in range(20):
         y, ev, x = model.sample(am.SeedSpec(90011, r).generator(), 2000)
         data = am.DesignData(y, ev, x)
-        bg = am.solve_gehan(data)[0]
+        bg = am.fit_aft(data).slopes[0]
         bc = am.fit_cox(data).slopes[0]
         worst = max(worst, abs(bc + bg))
     _report(
@@ -396,8 +400,8 @@ def test_c13_property_suite():
 
     # solver equivariance under y -> y + c * x
     y1, ev1, x1 = random_censored_sample(rng, 30, d=1)
-    b0 = am.solve_gehan(am.DesignData(y1, ev1, x1))[0]
-    b1 = am.solve_gehan(am.DesignData(y1 + 2.5 * x1[:, 0], ev1, x1))[0]
+    b0 = am.fit_aft(am.DesignData(y1, ev1, x1)).slopes[0]
+    b1 = am.fit_aft(am.DesignData(y1 + 2.5 * x1[:, 0], ev1, x1)).slopes[0]
     checks.append((abs(b1 - (b0 + 2.5)) <= 1e-9, f"equivariance error {abs(b1 - b0 - 2.5):.1e}"))
 
     # KM equals the ECDF without censoring
@@ -415,14 +419,15 @@ def test_c13_property_suite():
 
     # consistency trend: slope error shrinks from n=100 to n=400
     def mean_err_at(n):
+        sc = parse_scenario_text(
+            f"study = estimation\nerror = normal(0.5)\nx2 = normal(0,1)\n"
+            f"tau = 4\nn = {n}\nreps = 1\nseed = 0\n"
+        )
         errs = []
         for r in range(30):
             g = am.SeedSpec(90014, r).generator()
-            sc = am.Scenario.estimation(
-                am.ErrorLaw("normal", (0.5,)), am.CovariateLaw("normal", (0.0, 1.0)), 4.0, n, 1, 0
-            )
             yy, ee, xx = sc.sample(g, n)
-            bb = am.solve_gehan(am.DesignData(yy, ee, xx))
+            bb = am.fit_aft(am.DesignData(yy, ee, xx)).slopes
             errs.append(float(np.abs(bb - 1.0).mean()))
         return float(np.mean(errs))
 
@@ -430,8 +435,9 @@ def test_c13_property_suite():
     checks.append((e400 < e100, f"consistency trend {e100:.3f} -> {e400:.3f}"))
 
     # deterministic reproduction under a fixed master seed
-    sc = am.Scenario.estimation(
-        am.ErrorLaw("gumbel", (0.5,)), am.CovariateLaw("uniform", (-2, 2)), 4.0, 60, 8, seed=5
+    sc = parse_scenario_text(
+        "study = estimation\nerror = gumbel(0.5)\nx2 = uniform(-2,2)\n"
+        "tau = 4\nn = 60\nreps = 8\nseed = 5\n"
     )
     t1 = am.run_estimation_scenario(sc)
     t2 = am.run_estimation_scenario(sc)

@@ -483,8 +483,10 @@ def test_cmd_simulate_non_finite_law_exits_config_error(tmp_path, capsys, old, n
         ["simulate", "--scenario", "{negative_cfg}"],
         ["fit", "--input", "{csv}", "--response", "time", "--event", "status",
          "--covariates", "x1,x2", "--boot", "4", "--seed", "-1"],
+        ["fit", "--input", "{csv}", "--response", "time", "--event", "status",
+         "--covariates", "x1,x2", "--seed", "-1"],
     ],
-    ids=["simulate-flag", "simulate-file", "fit-boot"],
+    ids=["simulate-flag", "simulate-file", "fit-boot", "fit-no-boot"],
 )
 def test_negative_seed_exits_config_error(tmp_path, capsys, monkeypatch, linear_csv, command):
     cfg, negative_cfg = tmp_path / "plain.cfg", tmp_path / "negative.cfg"
@@ -534,8 +536,10 @@ PREDICTION_BODY = (
         (TAU4_BODY + "x = normal(0,1)\n", "x"),
         (TAU4_BODY.replace("tau = 4", "cens = none\ntau = -2"), "tau"),
         (TAU4_BODY.replace("n = 50", "n = 50\nn = 100"), "n"),
+        (PREDICTION_BODY + "epsilon = 0.1\n", "epsilon"),
     ],
-    ids=["prediction-error", "prediction-x2", "estimation-x", "tau-beside-cens-none", "n-twice"],
+    ids=["prediction-error", "prediction-x2", "estimation-x", "tau-beside-cens-none", "n-twice",
+         "epsilon-without-theoretical"],
 )
 def test_cmd_simulate_key_it_would_ignore_exits_config_error(tmp_path, capsys, body, key):
     cfg = tmp_path / "ignored.cfg"

@@ -7,7 +7,7 @@ from aftmean import kernels
 from aftmean.cox import PREDICT_BLOCK, _risk_sets, breslow, fit_cox, predict_cox_mean
 from aftmean.distributions import CovariateLaw, ErrorLaw, SeedSpec, SubjectModel
 from aftmean.errors import CoxFitError
-from aftmean.gehan import DesignData, solve_gehan
+from aftmean.gehan import DesignData, fit_aft
 from aftmean.survfit import km_fit, mean_of
 from conftest import random_censored_sample
 from oracles import (
@@ -466,5 +466,5 @@ def test_cross_model_slopes_cancel_uncensored():
     for seed in (41, 42):
         data = model41_sample(seed, 2000)
         bc = fit_cox(data).slopes[0]
-        bg = solve_gehan(data)[0]
+        bg = fit_aft(data).slopes[0]
         assert abs(bc + bg) <= 0.1

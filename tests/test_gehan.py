@@ -15,7 +15,6 @@ from aftmean.gehan import (
     gehan_score,
     predict_aft,
     residuals,
-    solve_gehan,
 )
 from aftmean.simulation import parse_scenario_text
 from aftmean.survfit import km_fit, mean_of
@@ -175,7 +174,7 @@ def test_score_monotone_d1(rng):
 
 
 def test_solver_exact_linear():
-    beta = solve_gehan(exact_linear())
+    beta = fit_aft(exact_linear()).slopes
     np.testing.assert_allclose(beta, [1.0, 1.0], atol=1e-6)
 
 
@@ -188,7 +187,7 @@ def test_solver_matches_grid_oracle(rng):
                 break
         data = DesignData(y, ev, x)
         try:
-            beta = solve_gehan(data)
+            beta = fit_aft(data).slopes
         except GehanSolverError:
             continue  # genuinely unbounded instances are excluded by contract
         grid = np.arange(-3.0, 3.0 + 1e-9, 1e-3) + 1.0  # around beta0 = 1
@@ -204,9 +203,9 @@ def test_solver_matches_grid_oracle(rng):
 def test_solver_equivariance_d1(rng):
     y, ev, x = random_censored_sample(rng, 25, d=1)
     data = DesignData(y, ev, x)
-    base = solve_gehan(data)
+    base = fit_aft(data).slopes
     for c in (-2.0, 0.5, 3.0):
-        moved = solve_gehan(DesignData(y + c * x[:, 0], ev, x))
+        moved = fit_aft(DesignData(y + c * x[:, 0], ev, x)).slopes
         assert moved[0] == pytest.approx(base[0] + c, abs=1e-9)
 
 
@@ -215,7 +214,7 @@ def test_solver_unbounded_direction_raises():
     # slope up only ever helps, so no minimizer exists
     data = DesignData(np.array([0.0, 1.0]), np.array([1, 0]), np.array([[0.0], [1.0]]))
     with pytest.raises(GehanSolverError, match="unbounded"):
-        solve_gehan(data)
+        fit_aft(data)
 
 
 def table1_draw(config, rep=0):
@@ -230,7 +229,7 @@ def test_solver_error_best_has_full_length_for_d2():
     data = table1_draw("table1_b_x2u05_tau1.5_n100.cfg")
     assert np.all(data.covariates[data.event, 0] == 0.0)
     with pytest.raises(GehanSolverError, match="flat toward \\+inf") as info:
-        solve_gehan(data)
+        fit_aft(data)
     assert info.value.best.shape == (2,)
 
 
@@ -275,7 +274,7 @@ def test_d2_and_d3_fits_reach_the_pairwise_lp_minimum():
             data = draw(np.random.default_rng(seed), 40)
             lp_loss = gehan_loss(gehan_lp(data), data)
             try:
-                beta = solve_gehan(data)
+                beta = fit_aft(data).slopes
             except GehanSolverError as exc:
                 assert type(exc) is GehanSolverError
                 assert gehan_loss(exc.best, data) <= lp_loss * (1.0 + 1e-12)
@@ -305,12 +304,12 @@ def test_d2_fit_missing_the_score_bound_raises_after_one_search_per_start(monkey
 
 def test_warm_d2_solve_runs_one_search_and_a_cold_one_four(monkeypatch):
     data = table1_draw("table1_b_x2u22_tau1.5_n100.cfg")
-    full = solve_gehan(data)
+    full = fit_aft(data).slopes
     sub = data.subset(SeedSpec(11, 0).generator().integers(0, data.n, data.n))
     calls = count_searches(monkeypatch)
-    solve_gehan(sub, init=full)
+    fit_aft(sub, init=full)
     assert len(calls) == 1
-    solve_gehan(sub)
+    fit_aft(sub)
     assert len(calls) == 1 + 4
 
 
@@ -322,7 +321,7 @@ def test_warm_solve_missing_the_bound_falls_back_to_the_ols_starts(monkeypatch):
     t = rng.integers(2, 17, 100).astype(float)
     c = rng.integers(2, 17, 100)
     data = DesignData(np.minimum(t, c), t <= c, x)
-    full = solve_gehan(data)
+    full = fit_aft(data).slopes
     sub = data.subset(SeedSpec(7, 2).generator().integers(0, 100, 100))
     calls = count_searches(monkeypatch)
     _, report = gehan._solve_with_report(sub, full)
@@ -333,8 +332,8 @@ def test_warm_solve_missing_the_bound_falls_back_to_the_ols_starts(monkeypatch):
 @pytest.mark.parametrize(
     "solve, data, init",
     [
-        (solve_gehan, toy3(), [1.0, 5.0]),
-        (solve_gehan, exact_linear(), [1.0, 1.0, 1.0]),
+        (lambda data, init: fit_aft(data, init=init), toy3(), [1.0, 5.0]),
+        (lambda data, init: fit_aft(data, init=init), exact_linear(), [1.0, 1.0, 1.0]),
         (lambda data, init: bootstrap_se(data, 2, init=init), exact_linear(), [1.0]),
     ],
     ids=["d1-solve", "d2-solve", "d2-bootstrap"],
@@ -351,7 +350,7 @@ def test_init_of_the_wrong_length_raises_data_error(solve, data, init):
 )
 def test_nonfinite_init_raises_data_error(data, init):
     with pytest.raises(DataError, match="init must be finite"):
-        solve_gehan(data, init=init)
+        fit_aft(data, init=init)
 
 
 def _scan_slope(data):
@@ -383,17 +382,17 @@ def test_d1_line_search_matches_full_kink_scan(rng):
             expected = _scan_slope(data)
         except GehanSolverError as exc:
             with pytest.raises(GehanSolverError) as info:
-                solve_gehan(data, init=init)
+                fit_aft(data, init=init)
             assert str(info.value) == str(exc)
             np.testing.assert_array_equal(info.value.best, exc.best)
             continue
         if expected is None:
             with pytest.raises(GehanSolverError, match="not identified"):
-                solve_gehan(data, init=init)
+                fit_aft(data, init=init)
             continue
         # the same kink expression picks the same kink: bit-identical, which
         # also pins residual near-ties (y on a 0.1 grid, integer x) to their kinks
-        assert solve_gehan(data, init=init)[0] == expected
+        assert fit_aft(data, init=init).slopes[0] == expected
         compared += 1
     assert compared > 500
 
@@ -432,7 +431,7 @@ def test_d1_unbounded_and_flat_cases_raise_as_the_scan_does(y, ev, x, message):
         assert str(exc) == message
         best = exc.best
     with pytest.raises(GehanSolverError) as solved:
-        solve_gehan(data)
+        fit_aft(data)
     assert type(solved.value) is GehanSolverError
     assert str(solved.value) == message
     if best is None:
@@ -465,7 +464,7 @@ def test_d1_fit_enumerates_few_kinks_in_little_memory(monkeypatch):
     assert 0 < sum(enumerated) <= 0.01 * data.n_events() * data.n
     # a bootstrap resample: duplicated rows tie at every slope but add no kinks
     enumerated.clear()
-    solve_gehan(data.subset(SeedSpec(7, 1).generator().integers(0, 2000, 2000)), init=fit.slopes)
+    fit_aft(data.subset(SeedSpec(7, 1).generator().integers(0, 2000, 2000)), init=fit.slopes)
     assert 0 < sum(enumerated) <= 0.01 * data.n_events() * data.n
     monkeypatch.undo()
     tracemalloc.start()
@@ -523,14 +522,14 @@ def test_minimum_beyond_the_float_range_raises():
     # both kinks are (1e10 - 0) / 1e-300 = inf: no finite bracket exists
     data = DesignData(np.array([0.0, 1e10]), np.array([1, 1]), np.array([[0.0], [1e-300]]))
     with pytest.raises(GehanSolverError, match="overflows the float range") as info:
-        solve_gehan(data)
+        fit_aft(data)
     assert info.value.best.shape == (1,)
 
 
 def _solve_outcome(data, init):
     """The slopes, or the GehanSolverError raised instead."""
     try:
-        return solve_gehan(data, init=init)
+        return fit_aft(data, init=init).slopes
     except GehanSolverError as exc:
         return exc
 
@@ -627,7 +626,7 @@ def test_d2_fit_enumerates_few_kinks_in_little_memory(monkeypatch):
 def test_solver_no_events_raises():
     data = DesignData(np.ones(4), np.zeros(4), np.arange(4.0)[:, None])
     with pytest.raises(GehanSolverError, match="no events"):
-        solve_gehan(data)
+        fit_aft(data)
 
 
 def test_solver_flat_interval_midpoint():
@@ -637,7 +636,7 @@ def test_solver_flat_interval_midpoint():
     ev = np.array([1, 1, 0])
     x = np.array([[0.0], [1.0], [0.4]])
     data = DesignData(y, ev, x)
-    beta = solve_gehan(data)
+    beta = fit_aft(data).slopes
     lo = gehan_loss(beta, data)
     assert gehan_loss(beta + 1e-9, data) >= lo - 1e-15
     assert gehan_loss(beta - 1e-9, data) >= lo - 1e-15
@@ -658,7 +657,7 @@ def test_consistency_trend_scenario_a():
         for r in range(reps):
             g = SeedSpec(606, r).generator()
             y, ev, x = model.sample(g, n)
-            beta = solve_gehan(DesignData(y, ev, x))
+            beta = fit_aft(DesignData(y, ev, x)).slopes
             errs.append(np.abs(beta - 1.0).mean())
         return np.mean(errs)
 
@@ -713,7 +712,7 @@ def test_bootstrap_two_replicates_is_scaled_difference(rng):
         g = SeedSpec(3, b).generator()
         idx = g.integers(0, data.n, data.n)
         sub = data.subset(idx)
-        beta = solve_gehan(sub)
+        beta = fit_aft(sub).slopes
         alpha = mean_of(km_fit(residuals(sub, beta), sub.event))
         ests.append(np.concatenate([[alpha], beta]))
     expected = np.abs(ests[0] - ests[1]) / np.sqrt(2.0)
@@ -760,7 +759,7 @@ def categorical_months(seed=0, n=100):
 def test_warm_resample_solves_match_cold_solves(data):
     # the cold solve (zero and OLS starts) is the reference for the single
     # search from the full-data slopes that bootstrap_se runs per resample
-    full = solve_gehan(data)
+    full = fit_aft(data).slopes
     estimates = {"warm": [], "cold": []}
     for b in range(20):
         sub = data.subset(SeedSpec(11, b).generator().integers(0, data.n, data.n))

@@ -1,22 +1,30 @@
 import numpy as np
 import pytest
 
-from aftmean.distributions import CensoringLaw, CovariateLaw, ErrorLaw, SeedSpec, SubjectModel
+from aftmean.distributions import (
+    EULER_GAMMA,
+    CensoringLaw,
+    CovariateLaw,
+    ErrorLaw,
+    SeedSpec,
+    SubjectModel,
+)
 from aftmean.errors import ConfigError, DataError, SimulationError
-from aftmean.gehan import DesignData
+from aftmean.gehan import DesignData, event_ols
 from aftmean.simulation import (
     Scenario,
     censoring_rate,
     mse_p,
-    ols_fit,
     parse_scenario_text,
     run_estimation_scenario,
     run_prediction_scenario,
     summary_csv_text,
-    with_prediction_ratios,
 )
 
 EULER = 0.5772156649015329
+# each study's first scenario-file lines; a test appends n, reps, seed and the rest
+ESTIMATION_LAWS = "study = estimation\nerror = normal(0.5)\nx2 = normal(0,1)\n"
+PREDICTION_LAWS = "study = prediction\nx = normal(0,1)\n"
 
 
 # ---------------------------------------------------------------- mse_p
@@ -50,32 +58,29 @@ def test_mse_of_true_conditional_mean_is_error_variance():
 def test_ols_exact_and_interpolating():
     x = np.array([[0.0], [1.0], [2.0]])
     y = 2.0 + 3.0 * x[:, 0]
-    fit = ols_fit(DesignData(y, np.ones(3), x))
-    assert fit.intercept == pytest.approx(2.0, abs=1e-10)
-    assert fit.slopes[0] == pytest.approx(3.0, abs=1e-10)
+    coef = event_ols(DesignData(y, np.ones(3), x))
+    assert coef[0] == pytest.approx(2.0, abs=1e-10)
+    assert coef[1] == pytest.approx(3.0, abs=1e-10)
 
-    two = ols_fit(DesignData(np.array([1.0, 5.0]), np.ones(2), np.array([[0.0], [2.0]])))
-    assert two.intercept == pytest.approx(1.0)
-    assert two.slopes[0] == pytest.approx(2.0)
+    two = event_ols(DesignData(np.array([1.0, 5.0]), np.ones(2), np.array([[0.0], [2.0]])))
+    assert two[0] == pytest.approx(1.0)
+    assert two[1] == pytest.approx(2.0)
 
 
 def test_ols_residual_orthogonality(rng):
     x = rng.normal(size=(50, 3))
     y = rng.normal(size=50) + x @ np.array([1.0, -2.0, 0.5])
-    fit = ols_fit(DesignData(y, np.ones(50), x))
-    resid = y - fit.intercept - x @ fit.slopes
+    coef = event_ols(DesignData(y, np.ones(50), x))
+    resid = y - coef[0] - x @ coef[1:]
     np.testing.assert_allclose(x.T @ resid, 0.0, atol=1e-8)
     assert resid.sum() == pytest.approx(0.0, abs=1e-8)
 
 
-def test_ols_rejects_censoring_and_rank_deficiency(rng):
+def test_ols_rejects_rank_deficiency(rng):
     x = rng.normal(size=(10, 1))
     y = rng.normal(size=10)
-    with pytest.raises(DataError):
-        ols_fit(DesignData(y, np.zeros(10), x))
     xdup = np.column_stack([x[:, 0], x[:, 0]])
-    with pytest.raises(DataError):
-        ols_fit(DesignData(y, np.ones(10), xdup))
+    assert event_ols(DesignData(y, np.ones(10), xdup)) is None
 
 
 # ---------------------------------------------------------------- censoring rate
@@ -109,9 +114,7 @@ def test_noiseless_scenario_recovers_truth_exactly():
 
 
 def test_estimation_summary_reasonable_small_run():
-    sc = Scenario.estimation(
-        ErrorLaw("normal", (0.5,)), CovariateLaw("normal", (0.0, 1.0)), 4.0, 100, 30, seed=123
-    )
+    sc = parse_scenario_text(ESTIMATION_LAWS + "tau = 4\nn = 100\nreps = 30\nseed = 123\n")
     table = run_estimation_scenario(sc)
     assert table.parameters == ("alpha", "beta1", "beta2")
     np.testing.assert_allclose(table.means, [2.0, 1.0, 1.0], atol=0.15)
@@ -120,8 +123,9 @@ def test_estimation_summary_reasonable_small_run():
 
 
 def test_estimation_deterministic_reruns():
-    sc = Scenario.estimation(
-        ErrorLaw("laplace", (0.5,)), CovariateLaw("uniform", (-2.0, 2.0)), 4.0, 80, 12, seed=9
+    sc = parse_scenario_text(
+        "study = estimation\nerror = laplace(0.5)\nx2 = uniform(-2,2)\n"
+        "tau = 4\nn = 80\nreps = 12\nseed = 9\n"
     )
     a = run_estimation_scenario(sc)
     b = run_estimation_scenario(sc)
@@ -132,23 +136,21 @@ def test_estimation_deterministic_reruns():
 
 def test_estimation_failure_cap():
     # tau below every failure time censors everything in every replicate
-    sc = Scenario.estimation(
-        ErrorLaw("normal", (0.5,)), CovariateLaw("normal", (0.0, 1.0)), -1.0, 40, 5, seed=3
-    )
+    sc = parse_scenario_text(ESTIMATION_LAWS + "tau = -1\nn = 40\nreps = 5\nseed = 3\n")
     with pytest.raises(SimulationError):
         run_estimation_scenario(sc)
 
 
 def test_prediction_failure_cap():
     # tau = -10 censors every training subject, so no replicate can fit
-    sc = Scenario.prediction(CovariateLaw("normal", (0.0, 1.0)), -10.0, 30, 20, 3)
+    sc = parse_scenario_text(PREDICTION_LAWS + "tau = -10\nn = 30\nreps = 20\nseed = 3\n")
     with pytest.raises(SimulationError) as info:
         run_prediction_scenario(sc)
     assert str(info.value).startswith("20 of 20 replicates failed (cap 5%); causes: ['no events: ")
 
 
 def test_wrong_study_kind_rejected():
-    sc = Scenario.prediction(CovariateLaw("normal", (0.0, 1.0)), -2.0, 50, 3, seed=1)
+    sc = parse_scenario_text(PREDICTION_LAWS + "tau = -2\nn = 50\nreps = 3\nseed = 1\n")
     with pytest.raises(ConfigError):
         run_estimation_scenario(sc)
 
@@ -157,26 +159,30 @@ def test_wrong_study_kind_rejected():
 
 
 def test_prediction_uncensored_ratios_are_one():
-    sc = Scenario.prediction(CovariateLaw("normal", (0.0, 1.0)), None, 100, 10, seed=21)
+    sc = parse_scenario_text(PREDICTION_LAWS + "cens = none\nn = 100\nreps = 10\nseed = 21\n")
     table = run_prediction_scenario(sc)
     assert table.parameters == ("linear", "cox", "ols")
-    table = with_prediction_ratios(table, table)
     np.testing.assert_allclose(table.ratios, 1.0, atol=1e-12)
     # all three predictors are close on complete data
     assert abs(table.means[0] - table.means[2]) < 0.15
 
 
 def test_prediction_censored_run_and_ratio():
-    censored = Scenario.prediction(CovariateLaw("normal", (0.0, 1.0)), -2.0, 100, 15, seed=22)
-    baseline = Scenario.prediction(CovariateLaw("normal", (0.0, 1.0)), None, 100, 15, seed=22)
+    censored = parse_scenario_text(PREDICTION_LAWS + "tau = -2\nn = 100\nreps = 15\nseed = 22\n")
     tc = run_prediction_scenario(censored)
-    tb = run_prediction_scenario(baseline)
-    tc = with_prediction_ratios(tc, tb)
     assert tc.parameters == ("linear", "cox")
     assert 0.7 < tc.censoring_rate < 0.95
     # heavy truncation hurts the hazard-based predictor much more
     assert tc.means[1] > tc.means[0]
     assert tc.ratios[1] < tc.ratios[0]
+
+
+def test_censored_prediction_ratios_divide_the_uncensored_means_by_its_own():
+    body = PREDICTION_LAWS + "n = 60\nreps = 4\nseed = 23\n"
+    censored = run_prediction_scenario(parse_scenario_text(body + "tau = -1\n"))
+    uncensored = run_prediction_scenario(parse_scenario_text(body + "cens = none\n"))
+    assert uncensored.parameters[:2] == censored.parameters
+    np.testing.assert_array_equal(censored.ratios, uncensored.means[:2] / censored.means)
 
 
 def test_tail_below_rule_of_thumb_for_wide_support_scenario():
@@ -203,7 +209,7 @@ def test_prediction_cox_mse_degrades_as_followup_shrinks():
     # Cox mean MSE is nonincreasing in tau across the grid (desk scale)
     mses = []
     for tau in (-2.0, 0.0):
-        sc = Scenario.prediction(CovariateLaw("normal", (0.0, 1.0)), tau, 150, 30, seed=31)
+        sc = parse_scenario_text(PREDICTION_LAWS + f"tau = {tau}\nn = 150\nreps = 30\nseed = 31\n")
         mses.append(run_prediction_scenario(sc).means[1])
     assert mses[0] > mses[1]
 
@@ -260,8 +266,36 @@ def test_estimation_scenario_cens_none_is_uncensored():
 def test_tau_none_is_rejected_in_both_studies(study, laws):
     with pytest.raises(ConfigError, match="cens = none"):
         parse_scenario_text(f"study = {study}\n{laws}tau = none\nn = 20\nreps = 1\nseed = 1\n")
-    # the library keeps its own spelling of an uncensored prediction scenario
-    assert Scenario.prediction(CovariateLaw("normal", (0.0, 1.0)), None, 20, 1, 1).uncensored
+
+
+def test_absent_cens_and_x1_keys_take_the_study_defaults():
+    estimation = Scenario(
+        study="estimation",
+        error=ErrorLaw("normal", (0.5,)),
+        covariates=(CovariateLaw("bernoulli", (0.5,)), CovariateLaw("normal", (0.0, 1.0))),
+        slopes=(1.0, 1.0),
+        intercept=2.0,
+        censoring=CensoringLaw(0.0, 5.0, 4.0),
+        n=50,
+        replications=3,
+        seed=8,
+    )
+    assert parse_scenario_text(ESTIMATION_LAWS + "tau = 4\nn = 50\nreps = 3\nseed = 8\n") == estimation
+    prediction = Scenario(
+        study="prediction",
+        error=ErrorLaw("evmin"),
+        covariates=(CovariateLaw("normal", (0.0, 1.0)),),
+        slopes=(1.0,),
+        intercept=-EULER_GAMMA,
+        censoring=CensoringLaw(-3.0, 3.0, -1.0),
+        n=60,
+        replications=2,
+        seed=8,
+    )
+    assert parse_scenario_text(PREDICTION_LAWS + "tau = -1\nn = 60\nreps = 2\nseed = 8\n") == prediction
+    # without tau the base is not truncated
+    untruncated = parse_scenario_text(PREDICTION_LAWS + "n = 60\nreps = 2\nseed = 8\n")
+    assert untruncated.censoring == CensoringLaw(-3.0, 3.0)
 
 
 def test_parse_rejects_unknown_keys_and_bad_laws():
@@ -277,27 +311,22 @@ def test_parse_rejects_unknown_keys_and_bad_laws():
 
 
 def test_summary_csv_layouts():
-    sc = Scenario.estimation(
-        ErrorLaw("normal", (0.5,)), CovariateLaw("normal", (0.0, 1.0)), 4.0, 50, 3, seed=8
-    )
+    sc = parse_scenario_text(ESTIMATION_LAWS + "tau = 4\nn = 50\nreps = 3\nseed = 8\n")
     est = summary_csv_text(run_estimation_scenario(sc))
     lines = est.strip().splitlines()
     assert lines[0] == "parameter,mean,sd,censoring_rate,n_replications,n_failed"
     assert lines[1].startswith("alpha,")
     assert len(lines) == 4
 
-    scp = Scenario.prediction(CovariateLaw("normal", (0.0, 1.0)), None, 60, 2, seed=8)
-    tp = with_prediction_ratios(run_prediction_scenario(scp), run_prediction_scenario(scp))
-    pred = summary_csv_text(tp)
+    scp = parse_scenario_text(PREDICTION_LAWS + "cens = none\nn = 60\nreps = 2\nseed = 8\n")
+    pred = summary_csv_text(run_prediction_scenario(scp))
     lines = pred.strip().splitlines()
     assert lines[0] == "model,ratio,mse,censoring_rate,n_replications,n_failed"
     assert [l.split(",")[0] for l in lines[1:]] == ["linear", "cox", "ols"]
 
 
 def test_summary_csv_single_replicate_blank_sd():
-    sc = Scenario.estimation(
-        ErrorLaw("normal", (0.5,)), CovariateLaw("normal", (0.0, 1.0)), 4.0, 50, 1, seed=8
-    )
+    sc = parse_scenario_text(ESTIMATION_LAWS + "tau = 4\nn = 50\nreps = 1\nseed = 8\n")
     text = summary_csv_text(run_estimation_scenario(sc))
     row = text.strip().splitlines()[1].split(",")
     assert row[2] == ""  # sd column empty-marked

@@ -10,7 +10,10 @@ ROOT is a checkout of this repository.  The script imports ``aftmean`` from
 
 - every call of every pool entry of the three benchmark workloads;
 - every bundled scenario cell, Table-1 cells at ``--reps 20`` and Table-2
-  cells at ``--reps 2``.
+  cells at ``--reps 2``;
+- the scenario files in ``DEFAULT_KEY_SCENARIOS``, which leave out ``cens``,
+  ``x1`` and ``mode`` (every bundled cell sets them), so the parser's
+  defaults reach the digest too.
 
 It prints one line per call: the command line without its directories, the
 exit code, the last stderr line of a failed call, and a sha256 of each output
@@ -33,6 +36,22 @@ from pathlib import Path
 
 CELL_REPS = {"table1": 20, "table2": 2}
 
+# scenario files without ``cens``, ``x1`` or ``mode``: the study's default
+# censoring base, the default X1 and the maxobs truncation rule
+DEFAULT_KEY_SCENARIOS = {
+    "default_estimation_tau4": (
+        "study = estimation\nerror = normal(0.5)\nx2 = normal(0,1)\n"
+        "tau = 4\nn = 100\nreps = 20\nseed = 31001\n"
+    ),
+    "default_estimation_no_tau": (
+        "study = estimation\nerror = logistic(0.5)\nx2 = uniform(-2,2)\n"
+        "n = 100\nreps = 20\nseed = 31002\n"
+    ),
+    "default_prediction_tau-1": (
+        "study = prediction\nx = normal(0,1)\ntau = -1\nn = 200\nreps = 5\nseed = 31003\n"
+    ),
+}
+
 
 def _digest_line(cli, run_call, call, work: Path) -> str:
     outputs = [call.output, cli._km_curve_path(str(call.output))]
@@ -40,7 +59,8 @@ def _digest_line(cli, run_call, call, work: Path) -> str:
         path.unlink(missing_ok=True)
     outcome = run_call(cli.main, call)
     # the work directory differs between runs; keep it out of the digest
-    parts = [call.key, f"rc={outcome.rc}", outcome.message.replace(str(work), "WORK")]
+    parts = [call.key.replace(str(work), "WORK"), f"rc={outcome.rc}",
+             outcome.message.replace(str(work), "WORK")]
     for path in outputs:
         if path.exists():
             parts.append(f"{path.name}={hashlib.sha256(path.read_bytes()).hexdigest()}")
@@ -74,6 +94,13 @@ def main(argv=None) -> int:
             argv = ("simulate", "--scenario", cell, "--reps", str(reps), "--output", str(output))
             call = Call(argv, reps, output)
             print(f"cell\t{_digest_line(cli, run_call, call, work)}", flush=True)
+        for name, text in DEFAULT_KEY_SCENARIOS.items():
+            scenario = work / f"{name}.cfg"
+            scenario.write_text(text)
+            output = work / "default.csv"
+            argv = ("simulate", "--scenario", str(scenario), "--output", str(output))
+            call = Call(argv, 0, output)
+            print(f"default\t{_digest_line(cli, run_call, call, work)}", flush=True)
     return 0
 
 
