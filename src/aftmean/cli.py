@@ -1,4 +1,4 @@
-"""Command-line surface: fit, predict-cv, simulate, km-check.
+"""Command-line surface: fit, predict-cv, simulate.
 
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 fitting error.
 All output files are plain CSV with full-precision floats, so identical
@@ -32,6 +32,8 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_FIT = 4
+
+TAIL_RULE = 0.15  # the paper's rule of thumb: trust the intercept when the tail atom is below it
 
 
 def load_csv(
@@ -103,10 +105,6 @@ def _km_curve_path(output: str) -> Path:
     return out.with_name(out.stem + "_km" + suffix)
 
 
-def _tail_verdict(tail: float, threshold: float) -> str:
-    return "adequate" if tail < threshold else "NOT adequate"
-
-
 def cmd_fit(args) -> int:
     data = _load_design(args)
     SeedSpec(args.seed)  # a bad seed stops the run before the full-data solve
@@ -133,10 +131,8 @@ def cmd_fit(args) -> int:
             writer.writerow([repr(float(t)), repr(float(f)), repr(float(s))])
     for term, est in zip(terms, estimates):
         print(f"{term:>12s}  {est:.6g}")
-    print(
-        f"residual KM tail {fit.tail:.6g} -> {_tail_verdict(fit.tail, args.threshold)} "
-        f"(threshold {args.threshold:g})"
-    )
+    verdict = "adequate" if fit.tail < TAIL_RULE else "NOT adequate"
+    print(f"residual KM tail {fit.tail:.6g} -> {verdict} (rule of thumb: below {TAIL_RULE:g})")
     print(f"wrote {args.output} and {km_path}")
     return EXIT_OK
 
@@ -215,17 +211,6 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def cmd_km_check(args) -> int:
-    data = _load_design(args)
-    truncation = Truncation(args.mode, args.epsilon)
-    fit = fit_aft(data, truncation=truncation)
-    print(
-        f"residual KM tail value {fit.tail:.6g}: intercept estimation "
-        f"{_tail_verdict(fit.tail, args.threshold)} (threshold {args.threshold:g})"
-    )
-    return EXIT_OK
-
-
 _SEED_DEFAULT = 20260810
 
 
@@ -238,13 +223,6 @@ def _boot_count(text: str) -> int:
     if count == 1 or count < 0:
         raise argparse.ArgumentTypeError(f"{count}: use 0 (no bootstrap) or at least 2")
     return count
-
-
-def _tail_threshold(text: str) -> float:
-    value = float(text)
-    if not 0.0 < value <= 1.0:  # NaN fails too
-        raise argparse.ArgumentTypeError(f"{text}: use a number in (0, 1]")
-    return value
 
 
 def _add_model_flags(sub):
@@ -277,8 +255,6 @@ def build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--output", required=True, help="coefficient CSV output path")
     fit.add_argument("--boot", type=_boot_count, default=0, help="bootstrap replicates for SEs")
     fit.add_argument("--seed", type=int, default=_SEED_DEFAULT, help="bootstrap master seed")
-    fit.add_argument("--threshold", type=_tail_threshold, default=0.15,
-                     help="tail-adequacy threshold, in (0, 1]")
 
     cv = commands.add_parser("predict-cv", help="leave-one-out prediction report")
     _add_model_flags(cv)
@@ -295,12 +271,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_truncation_flags(sim)
     # a flag left out keeps the scenario file's own seed, mode and epsilon
     sim.set_defaults(mode=None, epsilon=None)
-
-    km = commands.add_parser("km-check", help="residual KM tail diagnostic")
-    _add_model_flags(km)
-    _add_truncation_flags(km)
-    km.add_argument("--threshold", type=_tail_threshold, default=0.15,
-                    help="tail-adequacy threshold, in (0, 1]")
     return parser
 
 
@@ -308,7 +278,6 @@ _HANDLERS = {
     "fit": cmd_fit,
     "predict-cv": cmd_predict_cv,
     "simulate": cmd_simulate,
-    "km-check": cmd_km_check,
 }
 
 

@@ -8,6 +8,9 @@ whose (almost-everywhere) gradient is the rank-based estimating function
 
     score(beta) = n**-2 * sum_i sum_j  event_i * 1(e_j >= e_i) * (x_i - x_j).
 
+Samples without events or with affinely collinear covariates (a constant
+column among them) raise :class:`GehanSolverError` before any search.
+
 ``d = 1`` is solved exactly in O(n log n) time and O(n) memory: bisection
 on the one-sided derivative of the piecewise-linear profile, started from
 ``init`` or the event-only OLS slope, brackets the minimum until few
@@ -228,11 +231,11 @@ def _line_search_d1(y, delta, x, start):
 
     Memory exceeds O(n) only when many kinks coincide at the minimum (a
     lattice of covariate and time values), which bisection cannot split.
-    Returns (slope, derivative evaluations + kinks enumerated), or None when
-    no pair has two covariate values (no kinks).  A flat or unbounded
-    profile raises :class:`GehanSolverError` carrying the end of its flat
-    ray, as a scan of every kink would, and so does a minimum beyond the
-    float range.
+    Returns (slope, derivative evaluations + kinks enumerated).  A flat or
+    unbounded profile raises :class:`GehanSolverError` carrying the end of
+    its flat ray, as a scan of every kink would, and so does a minimum
+    beyond the float range; a non-constant ``x`` whose sums round its kink
+    weight to zero raises carrying ``start``.
     """
     n = y.shape[0]
     # derivative at -inf and total kink weight from sorted x and prefix sums
@@ -245,8 +248,11 @@ def _line_search_d1(y, delta, x, start):
     fall = below * xe - prefix[below]
     s0 = -float(rise.sum())
     total = float(rise.sum() + fall.sum())
-    if total == 0.0:
-        return None
+    if total == 0.0:  # x passed the rank check, but its spread is below its rounding
+        raise GehanSolverError(
+            "slope not identified: the covariate's spread is below the rounding of its values",
+            best=np.array([start]),
+        )
     slack = _SLACK_REL * total
     # lo must lie left of the first crossing, hi right of the last
     left_of_first = (lambda s: s <= slack) if s0 >= -slack else (lambda s: s < -slack)
@@ -355,6 +361,11 @@ def _solve_with_report(data: DesignData, init) -> tuple[np.ndarray, SolverReport
     y = data.time
     x = data.covariates
     d = data.d
+    rank = np.linalg.matrix_rank(x - x[0])  # a constant column becomes exactly 0
+    if rank < d:
+        raise GehanSolverError(
+            f"slope not identified: the covariates are affinely collinear (rank {rank} of {d})"
+        )
     if init is not None:
         init = np.asarray(init, dtype=np.float64).reshape(-1)
         if init.size != d:
@@ -368,12 +379,7 @@ def _solve_with_report(data: DesignData, init) -> tuple[np.ndarray, SolverReport
         else:
             ols = event_ols(data)
             start = 0.0 if ols is None else float(ols[1])
-        found = _line_search_d1(y, delta, x[:, 0], start)
-        if found is None:
-            raise GehanSolverError(
-                "covariate constant across all informative pairs; slope not identified"
-            )
-        beta1, iterations = found
+        beta1, iterations = _line_search_d1(y, delta, x[:, 0], start)
         return _checked_report(data, np.array([beta1]), iterations, "bisection+local-scan")
 
     ols = event_ols(data)
@@ -416,12 +422,9 @@ def _solve_with_report(data: DesignData, init) -> tuple[np.ndarray, SolverReport
 
 def _checked_report(data: DesignData, beta, iterations, method):
     """(beta, report); for d > 1, raises when the score misses the n**-1 bound."""
-    x = data.covariates
     score = gehan_score(beta, data)
-    bounds = (x.max(axis=0) - x.min(axis=0)) / data.n
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = np.where(bounds > 0, np.abs(score) / bounds, np.abs(score) > 1e-300)
-    ratio = float(np.max(ratios))
+    bounds = np.ptp(data.covariates, axis=0) / data.n  # positive: no column is constant
+    ratio = float(np.max(np.abs(score) / bounds))
     report = SolverReport(
         loss=gehan_loss(beta, data),
         score_norm=float(np.max(np.abs(score))),
@@ -445,15 +448,12 @@ def _coordinate_descent(y, delta, x, beta):
             others = np.delete(np.arange(d), k)
             y_adj = y - x[:, others] @ beta[others]
             try:
-                found = _line_search_d1(y_adj, delta, x[:, k], beta[k])
+                bk, _ = _line_search_d1(y_adj, delta, x[:, k], beta[k])
             except GehanSolverError as exc:
                 # the profile error carries only coordinate k's endpoint
                 best = beta.copy()
                 best[k] = exc.best[0]
                 raise GehanSolverError(str(exc), best=best) from exc
-            if found is None:
-                continue  # flat coordinate: leave as-is
-            bk = found[0]
             shift = max(shift, abs(bk - beta[k]))
             beta[k] = bk
         if shift <= _TOL:

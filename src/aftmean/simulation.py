@@ -266,7 +266,7 @@ def parse_scenario_text(text: str, *, reps_override: int | None = None,
     if entries.get("tau", "").lower() == "none":
         raise ConfigError("tau = none is not accepted; write cens = none for uncensored data")
     tau = _number("tau", entries.get("tau", "inf"))
-    cens = (entries.get("cens") or _DEFAULT_CENS[study]).lower()
+    cens = entries.get("cens", _DEFAULT_CENS[study]).lower()
     if cens == "none" and tau != math.inf:
         raise ConfigError(f"scenario key 'tau': {tau:g} is not read with cens = none")
     base = None if cens == "none" else _parse_law("cens", cens, _censoring_base)

@@ -204,6 +204,44 @@ def test_cmd_fit_all_censored_exits_fit_error(tmp_path, capsys):
     assert "no events" in err or "degenerate KM" in err
 
 
+def test_cmd_fit_constant_covariate_exits_fit_error(tmp_path, rng, capsys):
+    # a constant column's slope trades one for one against the intercept
+    y, ev, x = random_censored_sample(rng, 60, d=1)
+    path = tmp_path / "const.csv"
+    rows = [[a, int(b), c, 2.0] for a, b, c in zip(y, ev, x[:, 0])]
+    write_csv(path, ["t", "e", "x", "site"], rows)
+    out = tmp_path / "o.csv"
+    code = main(["fit", "--input", str(path), "--response", "t", "--event", "e",
+                 "--covariates", "x,site", "--output", str(out)])
+    assert code == EXIT_FIT
+    assert "slope not identified" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cmd_fit_tail_adequate_when_uncensored(tmp_path, capsys):
+    rng = np.random.default_rng(10)
+    rows = [[1.0 + 0.5 * x + 0.1 * rng.normal(), 1, x] for x in rng.normal(size=100)]
+    path = tmp_path / "u.csv"
+    write_csv(path, ["t", "e", "x"], rows)
+    code = main(
+        ["fit", "--input", str(path), "--response", "t", "--event", "e",
+         "--covariates", "x", "--output", str(tmp_path / "o.csv")]
+    )
+    assert code == EXIT_OK
+    out = capsys.readouterr().out
+    assert "tail 0.01 -> adequate" in out and "NOT" not in out
+
+
+def test_cmd_fit_tail_not_adequate_under_heavy_censoring(tmp_path, capsys):
+    rows = [[0.5, 1, 0.0], [0.6, 1, 0.4], [1.0, 0, 0.2], [1.0, 0, 0.9],
+            [1.0, 0, 0.6], [1.0, 0, 0.1], [1.0, 0, 0.8], [1.0, 0, 0.3]]
+    path = tmp_path / "h.csv"
+    write_csv(path, ["t", "e", "x"], rows)
+    assert main(["fit", "--input", str(path), "--response", "t", "--event", "e",
+                 "--covariates", "x", "--output", str(tmp_path / "o.csv")]) == EXIT_OK
+    assert "-> NOT adequate" in capsys.readouterr().out
+
+
 def test_cmd_fit_missing_column_exits_data_error(tmp_path, linear_csv):
     code = main(
         ["fit", "--input", linear_csv, "--response", "time", "--event", "status",
@@ -454,6 +492,7 @@ NON_FINITE = [
     ("tau = 4", "tau = -inf"),
     ("tau = 4", "tau = 4\ncens = uniform(5,0)"),
     ("tau = 4", "tau = 4\ncens = normal(0,1)"),
+    ("tau = 4", "tau = 4\ncens ="),
     ("error = normal(0.5)", "error = t()"),
     ("error = normal(0.5)", "error = evmin(1)"),
     ("x2 = normal(0,1)", "x2 = bogus(1)"),
@@ -503,25 +542,6 @@ def test_negative_seed_exits_config_error(tmp_path, capsys, monkeypatch, linear_
     assert solves == []  # the seed is checked before anything is fitted
 
 
-@pytest.mark.parametrize("threshold", ["nan", "inf", "0", "-1", "1.5"])
-@pytest.mark.parametrize("command", ["fit", "km-check"])
-def test_threshold_outside_unit_interval_exits_config_error(
-    tmp_path, capsys, monkeypatch, linear_csv, command, threshold
-):
-    out = tmp_path / "out.csv"
-    solves = []
-    solve = gehan._solve_with_report
-    monkeypatch.setattr(gehan, "_solve_with_report", lambda *a: solves.append(a) or solve(*a))
-    argv = [command, "--input", linear_csv, "--response", "time", "--event", "status",
-            "--covariates", "x1,x2", "--threshold", threshold]
-    if command == "fit":
-        argv += ["--output", str(out)]
-    assert main(argv) == EXIT_CONFIG
-    assert "argument --threshold" in capsys.readouterr().err
-    assert not out.exists()
-    assert solves == []  # the threshold is checked before anything is fitted
-
-
 PREDICTION_BODY = (
     "study = prediction\nx = normal(0,1)\ncens = uniform(-3,3)\ntau = 0\n"
     "n = 40\nreps = 2\nseed = 6\n"
@@ -550,43 +570,10 @@ def test_cmd_simulate_key_it_would_ignore_exits_config_error(tmp_path, capsys, b
     assert f"{key!r}" in err
 
 
-# ---------------------------------------------------------------- km-check
-
-
-def test_cmd_km_check_uncensored(tmp_path, capsys):
-    rng = np.random.default_rng(10)
-    rows = [[1.0 + 0.5 * x + 0.1 * rng.normal(), 1, x] for x in rng.normal(size=100)]
-    path = tmp_path / "u.csv"
-    write_csv(path, ["t", "e", "x"], rows)
-    code = main(
-        ["km-check", "--input", str(path), "--response", "t", "--event", "e",
-         "--covariates", "x"]
-    )
-    assert code == EXIT_OK
-    out = capsys.readouterr().out
-    assert "0.01" in out and "adequate" in out and "NOT" not in out
-
-
-def test_cmd_km_check_heavy_censoring(tmp_path, capsys):
-    rows = [[0.5, 1, 0.0], [0.6, 1, 0.4], [1.0, 0, 0.2], [1.0, 0, 0.9],
-            [1.0, 0, 0.6], [1.0, 0, 0.1], [1.0, 0, 0.8], [1.0, 0, 0.3]]
-    path = tmp_path / "h.csv"
-    write_csv(path, ["t", "e", "x"], rows)
-    argv = ["km-check", "--input", str(path), "--response", "t", "--event", "e",
-            "--covariates", "x"]
-    assert main(argv) == EXIT_OK
-    assert "NOT adequate" in capsys.readouterr().out
-    # the same tail passes a threshold above it
-    assert main(argv + ["--threshold", "1"]) == EXIT_OK
-    out = capsys.readouterr().out
-    assert "adequate (threshold 1)" in out and "NOT" not in out
-
-
-@pytest.mark.parametrize("command", ["predict-cv", "km-check"])
+@pytest.mark.parametrize("command", ["predict-cv"])
 def test_seed_flag_only_where_it_is_read(tmp_path, linear_csv, command):
-    out = ["--output", str(tmp_path / "cv.csv")] if command == "predict-cv" else []
     code = main([command, "--input", linear_csv, "--response", "time", "--event", "status",
-                 "--covariates", "x1,x2", "--seed", "3", *out])
+                 "--covariates", "x1,x2", "--seed", "3", "--output", str(tmp_path / "cv.csv")])
     assert code == EXIT_CONFIG
 
 

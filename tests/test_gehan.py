@@ -417,9 +417,9 @@ def test_d1_line_search_matches_scan_on_table2_draws(cov, cell):
         # every event at the smallest x: zero derivative toward +inf
         ([0.0, 1.0, 2.0, 0.5], [1, 1, 0, 0], [0.0, 0.0, 1.0, 2.0],
          "unbounded direction: loss flat toward +inf"),
-        # no informative pair has two covariate values: no kinks at all
+        # a constant covariate: no kinks at all, stopped by the rank check
         ([0.0, 1.0, 2.0], [1, 1, 0], [2.0, 2.0, 2.0],
-         "covariate constant across all informative pairs; slope not identified"),
+         "slope not identified: the covariates are affinely collinear (rank 0 of 1)"),
     ],
 )
 def test_d1_unbounded_and_flat_cases_raise_as_the_scan_does(y, ev, x, message):
@@ -627,6 +627,36 @@ def test_solver_no_events_raises():
     data = DesignData(np.ones(4), np.zeros(4), np.arange(4.0)[:, None])
     with pytest.raises(GehanSolverError, match="no events"):
         fit_aft(data)
+
+
+@pytest.mark.parametrize("init", [None, [1.0, 0.0]], ids=["cold", "warm"])
+@pytest.mark.parametrize("value", [0.3, 7.0])
+def test_constant_second_column_is_not_identified(rng, value, init):
+    # the constant column's slope trades one for one against the intercept
+    y, ev, x = random_censored_sample(rng, 200)
+    data = DesignData(y, ev, np.column_stack([x[:, 0], np.full(200, value)]))
+    with pytest.raises(GehanSolverError, match="not identified.*\\(rank 1 of 2\\)"):
+        fit_aft(data, init=init)
+
+
+@pytest.mark.parametrize("n", [50, 400])
+def test_affinely_collinear_columns_are_not_identified(rng, n):
+    y, ev, x = random_censored_sample(rng, n)
+    data = DesignData(y, ev, np.column_stack([x[:, 0], 2.0 * x[:, 0] + 1.0]))
+    with pytest.raises(GehanSolverError, match="not identified.*\\(rank 1 of 2\\)"):
+        fit_aft(data)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_covariate_spread_lost_in_rounding_raises(d):
+    # one ulp apart at 1e20 passes the rank check, but the line search's
+    # prefix sums round every kink weight to zero
+    a = 1e20
+    x = np.array([[a, 0.0], [np.nextafter(a, np.inf), 1.0], [a, 2.0]])[:, :d]
+    data = DesignData(np.array([1.0, 2.0, 3.0]), np.array([1, 0, 1]), x)
+    with pytest.raises(GehanSolverError, match="spread is below the rounding") as info:
+        fit_aft(data)
+    assert info.value.best.shape == (d,)
 
 
 def test_solver_flat_interval_midpoint():

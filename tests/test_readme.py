@@ -1,10 +1,12 @@
-"""The README's library quickstart and scenario-file block run as written."""
+"""The README's library quickstart, scenario-file block and commands run as written."""
 
 import re
+import shlex
 from pathlib import Path
 
 import numpy as np
 
+from aftmean.cli import build_parser
 from aftmean.simulation import parse_scenario_text
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -39,3 +41,18 @@ def test_scenario_block_parses():
     assert scenario.study == "estimation"
     assert (scenario.n, scenario.replications, scenario.seed) == (400, 1000, 20260101)
     assert scenario.censoring.tau == 4.0
+
+
+def test_command_lines_parse():
+    # each `aftmean ...` line of a bash block, continuations joined; none is run
+    text = README.read_text()
+    commands = []
+    for block in re.findall(r"```bash\n(.*?)```", text, re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            words = shlex.split(line, comments=True)
+            if words[:1] == ["aftmean"]:
+                commands.append(words[1:])
+    assert len(commands) == 5
+    parser = build_parser()
+    for argv in commands:
+        parser.parse_args(argv)

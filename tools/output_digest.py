@@ -13,7 +13,10 @@ ROOT is a checkout of this repository.  The script imports ``aftmean`` from
   cells at ``--reps 2``;
 - the scenario files in ``DEFAULT_KEY_SCENARIOS``, which leave out ``cens``,
   ``x1`` and ``mode`` (every bundled cell sets them), so the parser's
-  defaults reach the digest too.
+  defaults reach the digest too;
+- ``predict-cv --covariates age,logbili --log-time`` on the CSV of
+  ``fit-bootstrap``'s pool entry 0: the one command the benchmark never
+  runs.
 
 It prints one line per call: the command line without its directories, the
 exit code, the last stderr line of a failed call, and a sha256 of each output
@@ -101,6 +104,12 @@ def main(argv=None) -> int:
             argv = ("simulate", "--scenario", str(scenario), "--output", str(output))
             call = Call(argv, 0, output)
             print(f"default\t{_digest_line(cli, run_call, call, work)}", flush=True)
+        pbc = work / "fit-bootstrap" / "pbc0.csv"  # written by fit-bootstrap's set-up
+        output = work / "cv.csv"
+        argv = ("predict-cv", "--input", str(pbc), "--response", "days", "--event", "death",
+                "--covariates", "age,logbili", "--log-time", "--output", str(output))
+        call = Call(argv, 0, output)
+        print(f"predict-cv\t{_digest_line(cli, run_call, call, work)}", flush=True)
     return 0
 
 
