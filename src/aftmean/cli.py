@@ -56,6 +56,9 @@ def load_csv(
     missing = [c for c in wanted if c not in header]
     if missing:
         raise DataError(f"{path}: missing column(s) {missing}; header has {header}")
+    repeated = [c for c in dict.fromkeys(wanted) if header.count(c) > 1]
+    if repeated:
+        raise DataError(f"{path}: column(s) {repeated} appear more than once in the header")
     if len(rows) < 2:
         raise DataError(f"{path}: no data rows")
     idx = {c: header.index(c) for c in wanted}
@@ -96,7 +99,20 @@ def load_csv(
 def _load_design(args) -> DesignData:
     if not args.covariates:
         raise ConfigError("at least one covariate column is required (--covariates)")
+    names = [args.response, args.event, *args.covariates]
+    repeated = [c for c in dict.fromkeys(names) if names.count(c) > 1]
+    if repeated:
+        raise ConfigError(
+            f"--response, --event and --covariates name column(s) {repeated} more than once"
+        )
     return load_csv(args.input, args.response, args.event, args.covariates, args.log_time)
+
+
+def _refuse_overwrite(source: str, *outputs) -> None:
+    """Raise ConfigError when an output path resolves to the input file ``source``."""
+    for out in outputs:
+        if Path(out).resolve() == Path(source).resolve():
+            raise ConfigError(f"output {str(out)!r} would overwrite the input {source!r}")
 
 
 def _km_curve_path(output: str) -> Path:
@@ -106,6 +122,8 @@ def _km_curve_path(output: str) -> Path:
 
 
 def cmd_fit(args) -> int:
+    km_path = _km_curve_path(args.output)
+    _refuse_overwrite(args.input, args.output, km_path)
     data = _load_design(args)
     SeedSpec(args.seed)  # a bad seed stops the run before the full-data solve
     truncation = Truncation(args.mode, args.epsilon)
@@ -123,7 +141,6 @@ def cmd_fit(args) -> int:
         writer.writerow(["term", "estimate", "bootstrap_se"])
         for term, est, se in zip(terms, estimates, ses):
             writer.writerow([term, repr(float(est)), "" if se is None else repr(float(se))])
-    km_path = _km_curve_path(args.output)
     with open(km_path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["t", "cdf", "survival"])
@@ -138,6 +155,7 @@ def cmd_fit(args) -> int:
 
 
 def cmd_predict_cv(args) -> int:
+    _refuse_overwrite(args.input, args.output)
     data = _load_design(args)
     if data.n < 3:
         raise DataError("leave-one-out cross-validation needs at least 3 subjects")
@@ -189,6 +207,7 @@ def _scenario_text(name: str) -> str:
 
 
 def cmd_simulate(args) -> int:
+    _refuse_overwrite(args.scenario, args.output)
     text = _scenario_text(args.scenario)
     scenario = parse_scenario_text(
         text,

@@ -18,11 +18,6 @@ from .errors import ConfigError
 EULER_GAMMA = 0.5772156649015329
 
 
-def _require_finite(kind: str, params: tuple[float, ...]):
-    if not all(math.isfinite(p) for p in params):
-        raise ConfigError(f"{kind} law needs finite parameters, got {params}")
-
-
 @dataclass(frozen=True)
 class _Law:
     """A law named by its scenario-file word: ``kind`` and float ``params``.
@@ -43,7 +38,8 @@ class _Law:
         if len(self.params) != count:
             raise ConfigError(f"{self.kind} law takes {count} parameter(s), got {self.params}")
         params = tuple(float(p) for p in self.params)
-        _require_finite(self.kind, params)
+        if not all(math.isfinite(p) for p in params):
+            raise ConfigError(f"{self.kind} law needs finite parameters, got {params}")
         if not in_range(*params):
             raise ConfigError(f"{self.kind} law needs {needs}, got {params}")
         object.__setattr__(self, "params", params)
@@ -73,22 +69,7 @@ class ErrorLaw(_Law):
         """Exact analytic mean."""
         return -EULER_GAMMA if self.kind == "evmin" else 0.0
 
-    def variance(self) -> float:
-        """Exact analytic variance."""
-        if self.kind == "evmin":
-            return math.pi**2 / 6.0
-        p = self.params[0]
-        if self.kind == "normal":
-            return p**2
-        if self.kind == "gumbel":
-            return p**2 * math.pi**2 / 6.0
-        if self.kind == "laplace":
-            return 2.0 * p**2
-        if self.kind == "logistic":
-            return p**2 * math.pi**2 / 3.0
-        return p / (p - 2.0) if p > 2.0 else math.inf  # t
-
-    def sample(self, rng: np.random.Generator, size=None):
+    def sample(self, rng: np.random.Generator, size: int):
         if self.kind == "evmin":  # negate a standard max-Gumbel draw
             return -rng.gumbel(0.0, 1.0, size)
         p = self.params[0]
@@ -114,43 +95,34 @@ class CovariateLaw(_Law):
         "uniform": (2, lambda a, b: a < b, "a < b"),
     }
 
-    def sample(self, rng: np.random.Generator, size=None):
+    def sample(self, rng: np.random.Generator, size: int):
         if self.kind == "bernoulli":
-            draw = rng.binomial(1, self.params[0], size)
-            return float(draw) if size is None else draw.astype(np.float64)
+            return rng.binomial(1, self.params[0], size).astype(np.float64)
         if self.kind == "normal":
             return rng.normal(self.params[0], self.params[1], size)
         return rng.uniform(self.params[0], self.params[1], size)
 
 
 @dataclass(frozen=True)
-class CensoringLaw:
-    """Censoring time law: a uniform base truncated at ``tau``.
+class CensoringLaw(_Law):
+    """Censoring time law: a ``uniform(low, high)`` base truncated at ``tau``.
 
-    Draws are ``min(Uniform(low, high), tau)`` with finite ``low < high``;
-    ``tau`` is a finite number or ``inf`` (the default), which reduces to the
-    base law.  The fields are stored as floats.  Complete data has no
-    censoring law at all (``None``).
+    Draws are ``min(Uniform(low, high), tau)``, e.g. ``CensoringLaw("uniform",
+    (0, 5), 1.5)``; ``tau`` is a finite number or ``inf`` (the default), which
+    reduces to the base law.  Complete data has no censoring law at all
+    (``None``).
     """
 
-    low: float
-    high: float
     tau: float = math.inf
+    RULES = {"uniform": (2, lambda low, high: low < high, "low < high")}
 
     def __post_init__(self):
-        for name in ("low", "high", "tau"):
-            object.__setattr__(self, name, float(getattr(self, name)))
-        _require_finite("censoring base", (self.low, self.high))
-        if not (self.tau == math.inf or math.isfinite(self.tau)):
+        super().__post_init__()
+        if not self.tau > -math.inf:  # also false for nan
             raise ConfigError(f"censoring tau must be a finite number or inf, got {self.tau}")
-        if not self.low < self.high:
-            raise ConfigError(
-                f"censoring base needs low < high, got ({self.low}, {self.high})"
-            )
 
-    def sample(self, rng: np.random.Generator, size=None):
-        draw = rng.uniform(self.low, self.high, size)
-        return np.minimum(draw, self.tau)
+    def sample(self, rng: np.random.Generator, size: int):
+        return np.minimum(rng.uniform(self.params[0], self.params[1], size), self.tau)
 
 
 @dataclass(frozen=True)

@@ -193,13 +193,6 @@ def _parse_law(key: str, text: str, law):
         raise ConfigError(f"scenario key {key!r}: {exc}") from None
 
 
-def _censoring_base(kind: str, params: tuple[float, ...]) -> CensoringLaw:
-    """The ``cens`` key's ``uniform(low, high)``, checked as a censoring law."""
-    if kind != "uniform" or len(params) != 2:
-        raise ConfigError("censoring base must be uniform(low, high)")
-    return CensoringLaw(*params)
-
-
 _COMMON_KEYS = {"study", "cens", "tau", "n", "reps", "seed", "mode", "epsilon"}
 _LAW_KEYS = {"estimation": {"error", "x1", "x2"}, "prediction": {"x"}}
 _SCENARIO_KEYS = _COMMON_KEYS.union(*_LAW_KEYS.values())
@@ -269,7 +262,7 @@ def parse_scenario_text(text: str, *, reps_override: int | None = None,
     cens = entries.get("cens", _DEFAULT_CENS[study]).lower()
     if cens == "none" and tau != math.inf:
         raise ConfigError(f"scenario key 'tau': {tau:g} is not read with cens = none")
-    base = None if cens == "none" else _parse_law("cens", cens, _censoring_base)
+    base = None if cens == "none" else _parse_law("cens", cens, CensoringLaw)
 
     if study == "estimation":
         error = _parse_law("error", need("error"), ErrorLaw)

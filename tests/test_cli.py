@@ -96,6 +96,32 @@ def test_load_csv_errors(tmp_path):
         load_csv(str(path), "t", "e", ("x",), log_time=True)
 
 
+def test_load_csv_rejects_a_requested_column_the_header_repeats(tmp_path):
+    path = tmp_path / "twice.csv"
+    write_csv(path, ["t", "e", "x", "x", "z", "z"], [[1.0, 1, 0.5, 2.0, 0.0, 0.0]])
+    with pytest.raises(DataError, match=r"\['x'\] appear more than once"):
+        load_csv(str(path), "t", "e", ("x",))
+    # a repeated column that is not requested is not read, so it is not ambiguous
+    write_csv(path, ["t", "e", "x", "z", "z"], [[1.0, 1, 0.5, 0.0, 0.0]])
+    assert load_csv(str(path), "t", "e", ("x",)).covariates.tolist() == [[0.5]]
+
+
+@pytest.mark.parametrize(
+    "columns",
+    [["--response", "x1", "--event", "status", "--covariates", "x1,x2"],
+     ["--response", "time", "--event", "status", "--covariates", "status,x2"],
+     ["--response", "time", "--event", "status", "--covariates", "x1,x1"]],
+    ids=["response-is-covariate", "event-is-covariate", "covariate-twice"],
+)
+def test_a_column_named_in_two_roles_exits_config_error(tmp_path, capsys, linear_csv,
+                                                        columns):
+    out = tmp_path / "o.csv"
+    for command in ("fit", "predict-cv"):
+        assert main([command, "--input", linear_csv, *columns, "--output", str(out)]) == EXIT_CONFIG
+        assert "more than once" in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_cmd_fit_short_row_exits_data_error(tmp_path, capsys):
     path = tmp_path / "short.csv"
     path.write_text("t,e,x\n1.0,1,0.5\n2.0,0\n")
@@ -508,9 +534,11 @@ def test_cmd_simulate_non_finite_law_exits_config_error(tmp_path, capsys, old, n
     assert _simulate_csv(cfg, tmp_path / "out.csv")[0] == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("configuration error: ")
-    key = new.split("\n")[-1].split("=")[0].strip()
+    key, _, value = new.split("\n")[-1].partition("=")
+    key, kind = key.strip(), value.split("(")[0].strip()
     if key != "tau":  # a bad tau is reported by the censoring law it builds
         assert f"{key!r}" in err
+        assert kind in err  # the law's own word, e.g. 'normal' in cens = normal(0,1)
     if key == "cens":
         assert "covariate" not in err
 
@@ -540,6 +568,43 @@ def test_negative_seed_exits_config_error(tmp_path, capsys, monkeypatch, linear_
     assert capsys.readouterr().err.startswith("configuration error: seed must be a non-negative")
     assert not out.exists()
     assert solves == []  # the seed is checked before anything is fitted
+
+
+def _refused_overwrite(capsys, argv, source):
+    before = source.read_bytes()
+    assert main(argv) == EXIT_CONFIG
+    assert "would overwrite the input" in capsys.readouterr().err
+    assert source.read_bytes() == before
+
+
+def test_cmd_fit_refuses_to_overwrite_its_input(tmp_path, capsys, linear_csv):
+    model = ["--response", "time", "--event", "status", "--covariates", "x1,x2"]
+    source = tmp_path / "linear.csv"
+    # the same file under another spelling of its path
+    (tmp_path / "sub").mkdir()
+    alias = str(tmp_path / "sub" / ".." / "linear.csv")
+    _refused_overwrite(capsys, ["fit", "--input", linear_csv, *model, "--output", alias], source)
+    # the derived curve file res_km.csv of --output res.csv
+    km_input = tmp_path / "res_km.csv"
+    km_input.write_bytes(source.read_bytes())
+    _refused_overwrite(
+        capsys,
+        ["fit", "--input", str(km_input), *model, "--output", str(tmp_path / "res.csv")],
+        km_input,
+    )
+    assert not (tmp_path / "res.csv").exists()
+
+
+def test_cmd_predict_cv_refuses_to_overwrite_its_input(tmp_path, capsys, linear_csv):
+    argv = ["predict-cv", "--input", linear_csv, "--response", "time", "--event", "status",
+            "--covariates", "x1,x2", "--output", linear_csv]
+    _refused_overwrite(capsys, argv, tmp_path / "linear.csv")
+
+
+def test_cmd_simulate_refuses_to_overwrite_its_scenario_file(tmp_path, capsys):
+    cfg = tmp_path / "plain.cfg"
+    cfg.write_text(TAU4_BODY)
+    _refused_overwrite(capsys, ["simulate", "--scenario", str(cfg), "--output", str(cfg)], cfg)
 
 
 PREDICTION_BODY = (

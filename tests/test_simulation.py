@@ -193,7 +193,7 @@ def test_tail_below_rule_of_thumb_for_wide_support_scenario():
         slopes=(1.0, 1.0),
         error=ErrorLaw("normal", (0.5,)),
         covariates=(CovariateLaw("bernoulli", (0.5,)), CovariateLaw("normal", (0.0, 1.0))),
-        censoring=CensoringLaw(0.0, 5.0, 1.5),
+        censoring=CensoringLaw("uniform", (0.0, 5.0), 1.5),
     )
     from aftmean.gehan import fit_aft
 
@@ -249,6 +249,12 @@ def test_parse_prediction_scenario_text_and_overrides():
     assert sc.error.kind == "evmin"
 
 
+def test_cens_key_is_read_as_a_censoring_law():
+    sc = parse_scenario_text(ESTIMATION_LAWS + "cens = uniform(0,5)\ntau = 4\nn = 50\nreps = 3\nseed = 8\n")
+    assert sc.censoring == CensoringLaw("uniform", (0.0, 5.0), 4.0)
+    assert sc.censoring.params == (0.0, 5.0) and sc.censoring.tau == 4.0
+
+
 def test_estimation_scenario_cens_none_is_uncensored():
     text = (
         "study = estimation\nerror = normal(0.5)\nx2 = normal(0,1)\ncens = none\n"
@@ -275,7 +281,7 @@ def test_absent_cens_and_x1_keys_take_the_study_defaults():
         covariates=(CovariateLaw("bernoulli", (0.5,)), CovariateLaw("normal", (0.0, 1.0))),
         slopes=(1.0, 1.0),
         intercept=2.0,
-        censoring=CensoringLaw(0.0, 5.0, 4.0),
+        censoring=CensoringLaw("uniform", (0.0, 5.0), 4.0),
         n=50,
         replications=3,
         seed=8,
@@ -287,7 +293,7 @@ def test_absent_cens_and_x1_keys_take_the_study_defaults():
         covariates=(CovariateLaw("normal", (0.0, 1.0)),),
         slopes=(1.0,),
         intercept=-EULER_GAMMA,
-        censoring=CensoringLaw(-3.0, 3.0, -1.0),
+        censoring=CensoringLaw("uniform", (-3.0, 3.0), -1.0),
         n=60,
         replications=2,
         seed=8,
@@ -295,7 +301,7 @@ def test_absent_cens_and_x1_keys_take_the_study_defaults():
     assert parse_scenario_text(PREDICTION_LAWS + "tau = -1\nn = 60\nreps = 2\nseed = 8\n") == prediction
     # without tau the base is not truncated
     untruncated = parse_scenario_text(PREDICTION_LAWS + "n = 60\nreps = 2\nseed = 8\n")
-    assert untruncated.censoring == CensoringLaw(-3.0, 3.0)
+    assert untruncated.censoring == CensoringLaw("uniform", (-3.0, 3.0))
 
 
 def test_parse_rejects_unknown_keys_and_bad_laws():

@@ -14,9 +14,11 @@ ROOT is a checkout of this repository.  The script imports ``aftmean`` from
 - the scenario files in ``DEFAULT_KEY_SCENARIOS``, which leave out ``cens``,
   ``x1`` and ``mode`` (every bundled cell sets them), so the parser's
   defaults reach the digest too;
-- ``predict-cv --covariates age,logbili --log-time`` on the CSV of
-  ``fit-bootstrap``'s pool entry 0: the one command the benchmark never
-  runs.
+- two commands on the CSV of ``fit-bootstrap``'s pool entry 0:
+  ``predict-cv --covariates age,logbili --log-time``, the one command the
+  benchmark never runs, and ``fit --covariates logbili --boot 8 --mode
+  theoretical``, a d = 1 bootstrap under the theoretical truncation rule
+  (every other call is maxobs, and the benchmark bootstraps only at d = 5).
 
 It prints one line per call: the command line without its directories, the
 exit code, the last stderr line of a failed call, and a sha256 of each output
@@ -105,11 +107,16 @@ def main(argv=None) -> int:
             call = Call(argv, 0, output)
             print(f"default\t{_digest_line(cli, run_call, call, work)}", flush=True)
         pbc = work / "fit-bootstrap" / "pbc0.csv"  # written by fit-bootstrap's set-up
-        output = work / "cv.csv"
-        argv = ("predict-cv", "--input", str(pbc), "--response", "days", "--event", "death",
-                "--covariates", "age,logbili", "--log-time", "--output", str(output))
-        call = Call(argv, 0, output)
-        print(f"predict-cv\t{_digest_line(cli, run_call, call, work)}", flush=True)
+        model = ("--input", str(pbc), "--response", "days", "--event", "death")
+        extra = (
+            ("cv.csv", ("predict-cv", *model, "--covariates", "age,logbili", "--log-time")),
+            ("fit.csv", ("fit", *model, "--covariates", "logbili", "--log-time",
+                         "--boot", "8", "--seed", "418000", "--mode", "theoretical")),
+        )
+        for name, argv in extra:
+            output = work / name
+            call = Call((*argv, "--output", str(output)), 0, output)
+            print(f"{argv[0]}\t{_digest_line(cli, run_call, call, work)}", flush=True)
     return 0
 
 
