@@ -66,11 +66,13 @@ def load_csv(
     def cell(row_values, row_no, col):
         raw = row_values[idx[col]].strip()
         try:
-            return float(raw)
-        except ValueError as exc:
+            value = float(raw)
+        except ValueError:
+            value = math.nan
+        if not math.isfinite(value):
             raise DataError(
-                f"{path}: row {row_no}, column {col!r}: non-numeric value {raw!r}"
-            ) from exc
+                f"{path}: row {row_no}, column {col!r}: {raw!r} is not a finite number")
+        return value
 
     times, events, xs = [], [], []
     for row_no, values in enumerate(rows[1:], start=2):
@@ -108,22 +110,33 @@ def _load_design(args) -> DesignData:
     return load_csv(args.input, args.response, args.event, args.covariates, args.log_time)
 
 
-def _refuse_overwrite(source: str, *outputs) -> None:
-    """Raise ConfigError when an output path resolves to the input file ``source``."""
-    for out in outputs:
-        if Path(out).resolve() == Path(source).resolve():
-            raise ConfigError(f"output {str(out)!r} would overwrite the input {source!r}")
+def _check_outputs(sources, *outputs) -> None:
+    """Raise ConfigError for an output path that resolves to an input file in
+    ``sources``, is an existing directory, or lies in a missing directory."""
+    for out in map(str, outputs):
+        path = Path(out)
+        for source in sources:
+            if path.resolve() == Path(source).resolve():
+                raise ConfigError(f"output {out!r} would overwrite the input {source!r}")
+        if path.is_dir():
+            raise ConfigError(f"output {out!r} is a directory")
+        if not path.parent.is_dir():
+            raise ConfigError(f"output {out!r}: no such directory {str(path.parent)!r}")
+
+
+def _write_csv(path, header, rows) -> None:
+    with open(path, "w", newline="") as handle:
+        csv.writer(handle).writerows([header, *rows])
 
 
 def _km_curve_path(output: str) -> Path:
     out = Path(output)
-    suffix = out.suffix or ".csv"
-    return out.with_name(out.stem + "_km" + suffix)
+    return out.parent / (out.stem + "_km" + (out.suffix or ".csv"))
 
 
 def cmd_fit(args) -> int:
     km_path = _km_curve_path(args.output)
-    _refuse_overwrite(args.input, args.output, km_path)
+    _check_outputs([args.input], args.output, km_path)
     data = _load_design(args)
     SeedSpec(args.seed)  # a bad seed stops the run before the full-data solve
     truncation = Truncation(args.mode, args.epsilon)
@@ -133,19 +146,13 @@ def cmd_fit(args) -> int:
     ses = [None] * len(terms)
     if args.boot:
         # looked up on the module at call time, so a wrapper installed there sees it
-        ses = gehan.bootstrap_se(
-            data, args.boot, args.seed, init=fit.slopes, truncation=truncation
-        )
-    with open(args.output, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["term", "estimate", "bootstrap_se"])
-        for term, est, se in zip(terms, estimates, ses):
-            writer.writerow([term, repr(float(est)), "" if se is None else repr(float(se))])
-    with open(km_path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["t", "cdf", "survival"])
-        for t, f, s in curve_points(fit.residual_dist):
-            writer.writerow([repr(float(t)), repr(float(f)), repr(float(s))])
+        ses = gehan.bootstrap_se(data, args.boot, args.seed, init=fit.slopes,
+                                 truncation=truncation)
+    _write_csv(args.output, ["term", "estimate", "bootstrap_se"],
+               [[term, repr(float(est)), "" if se is None else repr(float(se))]
+                for term, est, se in zip(terms, estimates, ses)])
+    _write_csv(km_path, ["t", "cdf", "survival"],
+               [[repr(float(v)) for v in point] for point in curve_points(fit.residual_dist)])
     for term, est in zip(terms, estimates):
         print(f"{term:>12s}  {est:.6g}")
     verdict = "adequate" if fit.tail < TAIL_RULE else "NOT adequate"
@@ -155,7 +162,7 @@ def cmd_fit(args) -> int:
 
 
 def cmd_predict_cv(args) -> int:
-    _refuse_overwrite(args.input, args.output)
+    _check_outputs([args.input], args.output)
     data = _load_design(args)
     if data.n < 3:
         raise DataError("leave-one-out cross-validation needs at least 3 subjects")
@@ -166,25 +173,14 @@ def cmd_predict_cv(args) -> int:
     for i in range(data.n):
         keep = np.arange(data.n) != i
         try:
-            fold = fit_aft(
-                data.subset(keep), truncation=truncation, init=full.slopes
-            )
+            fold = fit_aft(data.subset(keep), truncation=truncation, init=full.slopes)
             predictions[i] = predict_aft(fold, data.covariates[i])
         except EstimationError:
             failed[i] = True
-    with open(args.output, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["subject", "observed", "event", "predicted", "fold_failed"])
-        for i in range(data.n):
-            writer.writerow(
-                [
-                    i + 1,
-                    repr(float(data.time[i])),
-                    int(data.event[i]),
-                    "" if failed[i] else repr(float(predictions[i])),
-                    int(failed[i]),
-                ]
-            )
+    _write_csv(args.output, ["subject", "observed", "event", "predicted", "fold_failed"],
+               [[i + 1, repr(float(data.time[i])), int(data.event[i]),
+                 "" if failed[i] else repr(float(predictions[i])), int(failed[i])]
+                for i in range(data.n)])
     ok_events = data.event & ~failed
     if ok_events.any():
         mse = float(np.mean((data.time[ok_events] - predictions[ok_events]) ** 2))
@@ -198,6 +194,8 @@ def cmd_predict_cv(args) -> int:
 def _scenario_text(name: str) -> str:
     path = Path(name)
     if path.exists():
+        if not path.is_file():
+            raise ConfigError(f"scenario {name!r} is not a file")
         return path.read_text()
     stem = name if name.endswith(".cfg") else name + ".cfg"
     bundled = resources.files("aftmean").joinpath("configs", stem)
@@ -207,7 +205,7 @@ def _scenario_text(name: str) -> str:
 
 
 def cmd_simulate(args) -> int:
-    _refuse_overwrite(args.scenario, args.output)
+    _check_outputs([args.scenario], args.output)
     text = _scenario_text(args.scenario)
     scenario = parse_scenario_text(
         text,

@@ -477,7 +477,7 @@ def bootstrap_se(
     replicates: int,
     seed: int = 0,
     *,
-    init=None,
+    init,
     truncation: Truncation = Truncation(),
 ) -> np.ndarray:
     """Nonparametric bootstrap standard errors for (intercept, slopes).
@@ -485,15 +485,13 @@ def bootstrap_se(
     Resample ``b`` draws subjects with replacement from ``SeedSpec(seed, b)``
     and is fitted by :func:`fit_aft` under ``truncation``; resamples whose
     fit fails are dropped, and more than 20% failures aborts with an error.
-    Each resample is solved from ``init`` (pass the full-data slopes, as in
-    ``bootstrap_se(data, 500, seed=1, init=fit.slopes)``; they are fitted
-    here when not given); at d > 1 the OLS starts join only when that single
-    search fails or misses the score bound (see the module docstring).
+    Each resample is solved from ``init``, the full-data slopes, as in
+    ``bootstrap_se(data, 500, seed=1, init=fit.slopes)``; at d > 1 the OLS
+    starts join only when that single search fails or misses the score bound
+    (see the module docstring).
     """
     if replicates < 2:
         raise GehanSolverError("bootstrap needs at least 2 replicates")
-    if init is None:
-        init, _ = _solve_with_report(data, None)
     estimates = []
     failures = 0
     for b in range(replicates):

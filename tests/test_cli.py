@@ -3,7 +3,7 @@ import csv
 import numpy as np
 import pytest
 
-from aftmean import gehan
+from aftmean import cli, gehan
 from aftmean.cli import (
     EXIT_CONFIG,
     EXIT_DATA,
@@ -94,6 +94,17 @@ def test_load_csv_errors(tmp_path):
     write_csv(path, ["t", "e", "x"], [[-1.0, 1, 0.5]])
     with pytest.raises(DataError, match="positive"):
         load_csv(str(path), "t", "e", ("x",), log_time=True)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("column", ["t", "x"])
+def test_load_csv_rejects_a_non_finite_cell(tmp_path, value, column):
+    path = tmp_path / "nonfinite.csv"
+    rows = [[1.0, 1, 0.5], [2.0, 0, 1.5]]
+    rows[1][0 if column == "t" else 2] = value
+    write_csv(path, ["t", "e", "x"], rows)
+    with pytest.raises(DataError, match=f"row 3, column '{column}': '{value}' is not a finite"):
+        load_csv(str(path), "t", "e", ("x",))
 
 
 def test_load_csv_rejects_a_requested_column_the_header_repeats(tmp_path):
@@ -605,6 +616,54 @@ def test_cmd_simulate_refuses_to_overwrite_its_scenario_file(tmp_path, capsys):
     cfg = tmp_path / "plain.cfg"
     cfg.write_text(TAU4_BODY)
     _refused_overwrite(capsys, ["simulate", "--scenario", str(cfg), "--output", str(cfg)], cfg)
+
+
+MODEL_FLAGS = ["--input", "{csv}", "--response", "time", "--event", "status",
+               "--covariates", "x1,x2"]
+COMMANDS = {
+    "fit": ["fit", *MODEL_FLAGS],
+    "predict-cv": ["predict-cv", *MODEL_FLAGS],
+    "simulate": ["simulate", "--scenario", "table1_a_tau4_n400", "--reps", "2"],
+}
+# each case: the --output value, and the words naming it that the refusal prints
+OUTPUT_CASES = {
+    "output-is-a-directory": ("{tmp}/taken", "'{tmp}/taken' is a directory"),
+    "no-parent-directory": ("{tmp}/nodir/out.csv", "'{tmp}/nodir/out.csv': no such directory"),
+    "empty-output": ("", "output '' is a directory"),
+}
+UNUSABLE_PATHS = {
+    f"{command}-{case}": (argv + ["--output", output], named)
+    for case, (output, named) in OUTPUT_CASES.items()
+    for command, argv in COMMANDS.items()
+} | {
+    "fit-km-is-a-directory": (
+        COMMANDS["fit"] + ["--output", "{tmp}/res.csv"], "'{tmp}/res_km.csv' is a directory"
+    ),
+    "simulate-scenario-is-a-directory": (
+        ["simulate", "--scenario", "{tmp}/taken", "--output", "{tmp}/out.csv"],
+        "scenario '{tmp}/taken' is not a file",
+    ),
+}
+
+
+@pytest.mark.parametrize("argv, named", UNUSABLE_PATHS.values(), ids=UNUSABLE_PATHS.keys())
+def test_an_unusable_path_exits_config_error_before_any_work(tmp_path, capsys, monkeypatch,
+                                                             linear_csv, argv, named):
+    (tmp_path / "taken").mkdir()
+    (tmp_path / "res_km.csv").mkdir()
+    before = sorted(tmp_path.rglob("*"))
+
+    def fail(*args, **kwargs):
+        raise AssertionError("an unusable path must stop the command before any work")
+
+    for name in ("load_csv", "fit_aft", "run_estimation_scenario", "run_prediction_scenario"):
+        monkeypatch.setattr(cli, name, fail)
+    argv = [word.format(csv=linear_csv, tmp=tmp_path) for word in argv]
+    assert main(argv) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ")
+    assert named.format(tmp=tmp_path) in err
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 PREDICTION_BODY = (

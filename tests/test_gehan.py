@@ -736,7 +736,7 @@ def test_design_data_validation():
 def test_bootstrap_two_replicates_is_scaled_difference(rng):
     y, ev, x = random_censored_sample(rng, 40, d=1)
     data = DesignData(y, ev, x)
-    se = bootstrap_se(data, 2, seed=3)
+    se = bootstrap_se(data, 2, seed=3, init=fit_aft(data).slopes)
     ests = []
     for b in range(2):
         g = SeedSpec(3, b).generator()
@@ -755,7 +755,7 @@ def test_bootstrap_duplicated_rows_positive_finite():
     y = np.tile(base_y, 50) + np.repeat(np.linspace(0, 0.01, 50), 3)
     x = np.tile(base_x, (50, 1))
     data = DesignData(y, np.ones(150), x)
-    se = bootstrap_se(data, 100, seed=9)
+    se = bootstrap_se(data, 100, seed=9, init=fit_aft(data).slopes)
     assert se.shape == (2,)
     assert (se > 0).all() and np.isfinite(se).all()
 
@@ -769,7 +769,7 @@ def test_bootstrap_failure_cap():
         np.array([[1.0], [0.0], [2.0], [3.0]]),
     )
     with pytest.raises(GehanSolverError, match="resamples"):
-        bootstrap_se(data, 50, seed=1)
+        bootstrap_se(data, 50, seed=1, init=fit_aft(data).slopes)
 
 
 def categorical_months(seed=0, n=100):
